@@ -4,7 +4,7 @@ Subcommands:
   algebra dihedral --m M [--json]
   tensor --left L --right R [--method closed|matrix|both] [--json]
   ring mul --ring green|groth --expr E [--basis canonical|x1|x2] [--json]
-  verify fusion [--tmax T] [--teig T] [--betas LIST] [--workers N] [--json]
+  verify fusion [--tmax T] [--teig T] [--betas LIST] [--json]
   verify presentation [--suite S] [--betas LIST] [--tmax T] [--verbose] [--json]
   module export --label L --out FILE
 
@@ -42,7 +42,7 @@ from .errors import (
     AlgebraMismatch, CandidatePoolIncomplete, ExprSyntaxError,
     IncompleteSimpleList, InternalInconsistency, InvalidParameter,
     NonIntegerMultiplicity, NotCentral, NotFusionReady, NotIrreducible,
-    OrderMismatch, RingMismatch, ShapeMismatch, SingularSystem, TrivialQ,
+    OrderMismatch, RingMismatch, ShapeMismatch, TrivialQ,
     UnknownLabel, UnsupportedLabel, ZeroBeta,
 )
 from .fusion import tensor_labels
@@ -63,7 +63,7 @@ _USAGE_ERRORS = (
 )
 _MATH_ERRORS = (
     InternalInconsistency, NonIntegerMultiplicity, CandidatePoolIncomplete,
-    SingularSystem, ShapeMismatch,
+    ShapeMismatch,
 )
 
 
@@ -203,7 +203,7 @@ def cmd_verify_fusion(args):
     betas = _parse_betas(alg, args.betas)
     teig = args.teig if args.teig is not None else min(2, args.tmax)
     labels = grid_labels(alg, args.tmax, teig, betas)
-    summary = run_grid(alg, labels, workers=args.workers)
+    summary = run_grid(alg, labels)
     if args.json:
         print(json.dumps(summary, indent=2))
     else:
@@ -301,7 +301,6 @@ def build_parser():
                       help="largest eigen-type t; default min(2, tmax)")
     p_vf.add_argument("--betas", default="1,-1,2,1/2",
                       help="comma-separated nonzero eigenvalue literals")
-    p_vf.add_argument("--workers", type=int, default=1)
     p_vf.add_argument("--json", action="store_true")
     p_vf.set_defaults(func=cmd_verify_fusion)
 

@@ -303,14 +303,6 @@ class Cyclotomic:
         return tuple(self.coeffs)
 
 
-@lru_cache(maxsize=None)
-def _const_cache(order: int):
-    d = _tables(order)[0]
-    zero = Cyclotomic(order, (_Q0,) * d)
-    one = Cyclotomic(order, (_Q1,) + (_Q0,) * (d - 1))
-    return zero, one
-
-
 def _const(order: int, q) -> Cyclotomic:
     d = _tables(order)[0]
     return Cyclotomic(order, (q,) + (_Q0,) * (d - 1))

@@ -33,7 +33,6 @@ from .labels import IndecLabel, NIL, EIG, label_dim, multiset_dim, sorted_items
 from .linalg import (
     sp_apply_basis,
     sp_column_echelon,
-    sp_from_matrix,
     sp_intersect,
     sp_kernel,
     sp_matmul,
@@ -108,7 +107,7 @@ def decompose(m: ExplicitModule, extra_candidates=()) -> DecompResult:
     if dim == 0:
         return DecompResult((), 0, ())
 
-    x_rows = sp_from_matrix(m.x_action)
+    x_rows = m.x_action.rows
     big_x = x_rows
     for _ in range(alg.s - 1):
         big_x = sp_matmul(big_x, x_rows)
@@ -136,8 +135,7 @@ def decompose(m: ExplicitModule, extra_candidates=()) -> DecompResult:
             f"candidate eigenvalues cover {covered} of {dim} dimensions; "
             "pass the missing eigenvalues of x^s as extra_candidates")
 
-    element_rows = [sp_from_matrix(m.element_action(g))
-                    for g in range(alg.group.size)]
+    element_rows = [m.element_action(g).rows for g in range(alg.group.size)]
 
     labels: Counter = Counter()
     eigenvalues = []

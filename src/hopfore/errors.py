@@ -18,10 +18,6 @@ class ShapeMismatch(HopfOreError):
     """Matrix dimensions incompatible with the requested operation."""
 
 
-class SingularSystem(HopfOreError):
-    """Linear solve hit a singular or inconsistent system."""
-
-
 class InvalidParameter(HopfOreError):
     """A structural parameter is out of range (sizes, exponents, t < 1, ...)."""
 

@@ -12,7 +12,7 @@ presentations inside the concrete rings.
 from collections import Counter
 from math import comb
 
-from .cyclotomic import Rational
+from .cyclotomic import Cyclotomic, Rational
 from .errors import (
     AlgebraMismatch,
     InternalInconsistency,
@@ -32,7 +32,7 @@ from .labels import (
     canonicalize,
     label_sort_key,
 )
-from .linalg import Matrix, sp_determinant, sp_from_matrix
+from .linalg import sp_determinant, sp_rref
 from .syntax import BinNode, IntNode, LabelNode, NegNode, PowNode, format_label
 
 GREEN = "green"
@@ -445,40 +445,6 @@ def x2_basis_elements(alg):
     return out
 
 
-def _solve_basis(columns, target):
-    # exact elimination over the rationals; columns/target are int dicts
-    keys = sorted({k for col in columns for k in col} | set(target), key=str)
-    n = len(columns)
-    aug = [[Rational(col.get(k, 0)) for col in columns] + [Rational(target.get(k, 0))]
-           for k in keys]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) != n:
-        raise InternalInconsistency("requested basis is linearly dependent")
-    if any(any(row) for row in aug[r:]):
-        raise UnsupportedLabel("element lies outside the span of the requested basis")
-    sol = [aug[pivots.index(c)][n] if c in pivots else Rational(0) for c in range(n)]
-    out = []
-    for v in sol:
-        if v.denominator != 1:
-            raise InternalInconsistency("basis solve gave a non-integer coefficient")
-        out.append(int(v))
-    return out
-
-
 def groth_to_x2_basis(a: RingElement):
     """Coordinates in the halved basis, as ordered (name, integer) pairs."""
     _require_dihedral(a.alg)
@@ -490,8 +456,24 @@ def groth_to_x2_basis(a: RingElement):
                 f"{lab} is not a group simple; the halved basis covers only "
                 "the group-ring part")
     basis = x2_basis_elements(a.alg)
-    coeffs = _solve_basis([e.coeffs for _, e in basis], a.coeffs)
-    return [(name, c) for (name, _), c in zip(basis, coeffs)]
+    # Row-reduce [basis columns | target] over Q: one row per label.
+    n = len(basis)
+    columns = [e.coeffs for _, e in basis] + [a.coeffs]
+    keys = sorted({k for col in columns for k in col}, key=str)
+    rows = [{c: Cyclotomic.rational(1, col[k]) for c, col in enumerate(columns)
+             if col.get(k)} for k in keys]
+    rows, pivots = sp_rref(rows, n + 1)
+    if pivots[:n] != list(range(n)):
+        raise InternalInconsistency("requested basis is linearly dependent")
+    if n in pivots:
+        raise UnsupportedLabel("element lies outside the span of the requested basis")
+    out = []
+    for (name, _), row in zip(basis, rows):
+        v = row[n].rational_value() if n in row else 0
+        if v.denominator != 1:
+            raise InternalInconsistency("basis solve gave a non-integer coefficient")
+        out.append((name, int(v)))
+    return out
 
 
 def format_basis_coords(pairs) -> str:
@@ -513,15 +495,14 @@ def format_basis_coords(pairs) -> str:
 
 # -- presentation verification ---------------------------------------------------
 
-def _unimodular(alg, rows) -> bool:
-    # rows: list of dicts keyed by arbitrary hashable basis labels
+def _unimodular(rows) -> bool:
+    # rows: list of integer dicts keyed by arbitrary hashable basis labels
     keys = sorted({k for row in rows for k in row}, key=str)
     if len(keys) != len(rows):
         return False
     idx = {k: j for j, k in enumerate(keys)}
-    mat = Matrix(alg.field_order, [
-        [alg.scalar(row.get(k, 0)) for k in keys] for row in rows])
-    det = sp_determinant(alg.field_order, sp_from_matrix(mat), len(keys))
+    det = sp_determinant(1, [{idx[k]: Cyclotomic.rational(1, v)
+                              for k, v in row.items() if v} for row in rows], len(keys))
     return det == 1 or det == -1
 
 
@@ -589,7 +570,7 @@ def _verify_groth_kdn(alg, rep: _Report):
         xl = ring_mul(x, xl)
         rows.append(dict(xl.coeffs))
         rows.append(dict(ring_mul(chi_cls, xl).coeffs))
-    rep.flag("halved power basis is unimodular", _unimodular(alg, rows))
+    rep.flag("halved power basis is unimodular", _unimodular(rows))
 
 
 def _sum_ok(alg, value, betas):
@@ -626,7 +607,7 @@ def _verify_groth_h(alg, rep: _Report, betas):
         for _ in range(1, (m - 1) // 2 + 1):
             cur = ring_mul(x, cur)
             rows.append(dict(cur.coeffs))
-        if not _unimodular(alg, rows):
+        if not _unimodular(rows):
             ok = False
     rep.flag("free-part basis is unimodular per eigenvalue", ok)
 

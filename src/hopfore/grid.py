@@ -6,8 +6,6 @@ agrees with an explicit matrix decomposition of the actual module.  The two
 routes share no code beyond the algebra tables, so agreement is meaningful.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .decompose import decompose
 from .errors import InvalidParameter
 from .fusion import tensor_labels
@@ -71,25 +69,14 @@ def check_pair(alg, left, right, cache=None):
     }
 
 
-def run_grid(alg, labels=None, nil_tmax=3, eig_tmax=2, betas=(), workers=1):
-    """Check every ordered pair of grid labels; deterministic summary.
-
-    Results are assembled in pair order regardless of worker scheduling, so
-    the summary is reproducible for golden-file comparisons.
-    """
+def run_grid(alg, labels=None, nil_tmax=3, eig_tmax=2, betas=()):
+    """Check every ordered pair of grid labels, in order; the summary is
+    deterministic, so it can be compared against golden files."""
     if labels is None:
         labels = grid_labels(alg, nil_tmax, eig_tmax, betas)
     cache = {lab: build_module(alg, lab) for lab in labels}
     pairs = [(l, r) for l in labels for r in labels]
-
-    def work(pair):
-        return check_pair(alg, pair[0], pair[1], cache)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, pairs))
-    else:
-        results = [work(p) for p in pairs]
+    results = [check_pair(alg, left, right, cache) for left, right in pairs]
     mismatches = [r for r in results if r is not None]
     max_dim = max((label_dim(alg, lab) for lab in labels), default=0)
     return {

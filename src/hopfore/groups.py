@@ -21,6 +21,7 @@ from .errors import (
     NonIntegerMultiplicity,
     NotCentral,
     NotIrreducible,
+    ShapeMismatch,
     TrivialQ,
     UnknownLabel,
 )
@@ -48,13 +49,6 @@ class GroupData:
                 break
         if identity is None:
             raise InvalidParameter("no identity element")
-        if size <= 200:
-            for i in range(size):
-                for j in range(size):
-                    mij = mul[i][j]
-                    for k in range(size):
-                        if mul[mij][k] != mul[i][mul[j][k]]:
-                            raise InvalidParameter("multiplication table not associative")
         inverse = []
         for g in range(size):
             inv = next((h for h in range(size) if mul[g][h] == identity), None)
@@ -76,6 +70,12 @@ class GroupData:
                     queue.append(ne)
         if len(words) != size:
             raise InvalidParameter("generators do not generate the group")
+        # Light's test: the elements g with (x g) y = x (g y) for all x, y
+        # are closed under products, so checking the generators suffices.
+        for g in generators:
+            for x in range(size):
+                if mul[mul[x][g]] != tuple(map(mul[x].__getitem__, mul[g])):
+                    raise InvalidParameter("multiplication table not associative")
         if names is None:
             names = tuple(f"g{i}" for i in range(size))
         else:
@@ -147,7 +147,7 @@ class AlgebraData:
     __slots__ = (
         "group", "field_order", "central", "chi", "q", "s", "fusion_ready",
         "simples", "labels", "label_index", "simple_by_label", "sigma",
-        "sigma_inv", "omega", "orbits", "orbit_rep", "orbit_reps", "fusion",
+        "omega", "orbits", "orbit_rep", "orbit_reps", "fusion",
         "kind", "descriptor", "_hash",
     )
 
@@ -250,7 +250,6 @@ class AlgebraData:
                     f"central element is not scalar on simple {s.label!r}")
             omega[s.label] = w
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "sigma_inv", {v: k for k, v in sigma.items()})
         object.__setattr__(self, "omega", omega)
         # sigma-orbits, each listed from its first label in algebra order.
         seen = set()
@@ -310,9 +309,6 @@ class AlgebraData:
 
     def simple(self, label) -> SimpleRep:
         return self.simple_by_label[self.require_label(label)]
-
-    def label_key(self, label) -> int:
-        return self.label_index[self.require_label(label)]
 
     def sigma_power(self, label, k: int):
         k %= self.s
@@ -466,7 +462,22 @@ def custom_algebra(group: GroupData, simples, central: int, chi,
 
 
 def algebra_from_descriptor(desc: dict) -> AlgebraData:
-    """Rebuild an algebra from the JSON descriptor emitted with modules."""
+    """Rebuild an algebra from the JSON descriptor emitted with modules.
+
+    A descriptor of the wrong shape (not an object, a missing key, a value
+    of the wrong type, ragged matrices) raises InvalidParameter.
+    """
+    try:
+        return _algebra_from_descriptor(desc)
+    except KeyError as e:
+        raise InvalidParameter(f"algebra descriptor lacks the key {e}") from e
+    except (AttributeError, TypeError, ValueError, ShapeMismatch) as e:
+        raise InvalidParameter(f"malformed algebra descriptor: {e}") from e
+
+
+def _algebra_from_descriptor(desc: dict) -> AlgebraData:
+    if not isinstance(desc, dict):
+        raise InvalidParameter("algebra descriptor must be a JSON object")
     if desc.get("kind") == "dihedral":
         return dihedral_algebra(int(desc["m"]))
     if desc.get("kind") != "custom":
@@ -478,15 +489,11 @@ def algebra_from_descriptor(desc: dict) -> AlgebraData:
                       names=desc.get("names"))
     chi = [parse_cyclotomic(field_order, v) for v in desc["chi"]]
     simples = [
-        (_label_from_json(s["label"]),
+        (s["label"],
          [Matrix.from_literals(field_order, m) for m in s["matrices"]])
         for s in desc["simples"]
     ]
     return custom_algebra(group, simples, int(desc["central"]), chi, field_order)
-
-
-def _label_from_json(label):
-    return label
 
 
 def fusion_coeffs(alg: AlgebraData, i, j) -> dict:

@@ -1,36 +1,53 @@
-"""Exact linear algebra over one cyclotomic field.
+"""Exact linear algebra over one cyclotomic field, on sparse rows.
 
-Matrix is a dense, immutable wrapper used at API boundaries.  The actual
-elimination work happens on sparse dict-rows (column index -> nonzero
-entry), which keeps the structured matrices that show up here (monomial
-group actions, block shifts) cheap.  Everything is fraction-exact; pivoting
-always takes the first row with a nonzero entry in the current column, so
-reduced forms, kernels and images are canonical.
+A matrix is stored as its rows, each a dict {column: nonzero entry}; zero
+entries are never stored, so the structured matrices that show up here
+(monomial group actions, stratum shifts, their Kronecker products) stay
+cheap.  Matrix is the immutable, shape-checked type that modules and
+algebras hold; the sp_* routines below work on bare row (or column) dict
+lists, and `Matrix.rows` can be passed to them as it is.  Everything is
+fraction-exact; pivoting always takes the first row with a nonzero entry
+in the current column, so reduced forms, kernels and images are canonical.
 """
 
 from __future__ import annotations
 
 from .cyclotomic import Cyclotomic
-from .errors import ShapeMismatch, SingularSystem
+from .errors import ShapeMismatch
 
 
 class Matrix:
-    """Dense matrix over Q(zeta_order); rows are tuples of Cyclotomic."""
+    """Matrix over Q(zeta_order); rows is a tuple of {col: nonzero entry}.
+
+    The constructor takes dense nested lists (JSON, tests, custom
+    algebras).  The row dicts are shared, never mutated.
+    """
 
     __slots__ = ("order", "nrows", "ncols", "rows")
 
     def __init__(self, order: int, rows, ncols: int | None = None):
-        rows = tuple(tuple(_entry(order, e) for e in row) for row in rows)
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
+        sparse = []
+        for row in rows:
+            row = [_entry(order, e) for e in row]
+            if not sparse:
+                ncols = len(row)
+            elif len(row) != ncols:
                 raise ShapeMismatch("ragged rows")
-        elif ncols is None:
-            ncols = 0
+            sparse.append({j: e for j, e in enumerate(row) if e})
+        self._set(order, sparse, ncols or 0)
+
+    def _set(self, order, rows, ncols):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @staticmethod
+    def from_rows(order: int, rows, ncols: int) -> "Matrix":
+        """Wrap row dicts that hold only nonzero entries in range(ncols)."""
+        m = object.__new__(Matrix)
+        m._set(order, rows, ncols)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -38,20 +55,13 @@ class Matrix:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(order: int, nrows: int, ncols: int) -> "Matrix":
-        z = Cyclotomic.zero(order)
-        return Matrix(order, [[z] * ncols for _ in range(nrows)], ncols)
-
-    @staticmethod
     def identity(order: int, n: int) -> "Matrix":
-        z, o = Cyclotomic.zero(order), Cyclotomic.one(order)
-        return Matrix(order, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        return Matrix.scalar(order, n, 1)
 
     @staticmethod
     def scalar(order: int, n: int, value) -> "Matrix":
         v = _entry(order, value)
-        z = Cyclotomic.zero(order)
-        return Matrix(order, [[v if i == j else z for j in range(n)] for i in range(n)], n)
+        return Matrix.from_rows(order, [{i: v} if v else {} for i in range(n)], n)
 
     @staticmethod
     def from_literals(order: int, rows) -> "Matrix":
@@ -60,7 +70,9 @@ class Matrix:
         return Matrix(order, [[parse_cyclotomic(order, s) for s in row] for row in rows])
 
     def to_literals(self) -> list[list[str]]:
-        return [[e.to_literal() for e in row] for row in self.rows]
+        zero = Cyclotomic.zero(self.order)
+        return [[row.get(j, zero).to_literal() for j in range(self.ncols)]
+                for row in self.rows]
 
     # -- structure ---------------------------------------------------------
 
@@ -71,28 +83,33 @@ class Matrix:
             other.order, other.nrows, other.ncols, other.rows)
 
     def __hash__(self):
-        return hash((self.order, self.nrows, self.ncols, self.rows))
+        return hash((self.order, self.nrows, self.ncols,
+                     tuple(tuple(sorted(r.items())) for r in self.rows)))
 
     def __repr__(self):
         return f"Matrix({self.order}, {self.nrows}x{self.ncols})"
 
     def __getitem__(self, key):
         i, j = key
-        return self.rows[i][j]
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} out of range")
+        return self.rows[i].get(j) or Cyclotomic.zero(self.order)
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.order, list(zip(*self.rows)) if self.rows else [], self.nrows)
+        return not any(self.rows)
 
     def trace(self) -> Cyclotomic:
         if self.nrows != self.ncols:
             raise ShapeMismatch("trace of a non-square matrix")
         t = Cyclotomic.zero(self.order)
-        for i in range(self.nrows):
-            t = t + self.rows[i][i]
+        for i, row in enumerate(self.rows):
+            v = row.get(i)
+            if v is not None:
+                t = t + v
         return t
+
+    def rank(self) -> int:
+        return len(sp_rref(self.rows, self.ncols)[1])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -103,43 +120,36 @@ class Matrix:
             raise ShapeMismatch(
                 f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
 
-    def __add__(self, other):
+    def _combine(self, other: "Matrix", factor) -> "Matrix":
+        # self - factor * other, row by row
         self._check_same_shape(other)
-        return Matrix(self.order,
-                      [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-                      self.ncols)
+        rows = []
+        for r, s in zip(self.rows, other.rows):
+            r = dict(r)
+            _sp_row_submul(r, factor, s)
+            rows.append(r)
+        return Matrix.from_rows(self.order, rows, self.ncols)
+
+    def __add__(self, other):
+        return self._combine(other, -Cyclotomic.one(self.order))
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return Matrix(self.order,
-                      [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-                      self.ncols)
-
-    def __neg__(self):
-        return Matrix(self.order, [[-a for a in r] for r in self.rows], self.ncols)
+        return self._combine(other, Cyclotomic.one(self.order))
 
     def scale(self, value) -> "Matrix":
         v = _entry(self.order, value)
-        return Matrix(self.order, [[a * v for a in r] for r in self.rows], self.ncols)
+        if not v:
+            return Matrix.from_rows(self.order, [{} for _ in self.rows], self.ncols)
+        return Matrix.from_rows(self.order, [
+            {j: a * v for j, a in r.items()} for r in self.rows], self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.order != other.order:
             raise ShapeMismatch("matrices over different fields")
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"inner dimensions {self.ncols} vs {other.nrows}")
-        z = Cyclotomic.zero(self.order)
-        brows = other.rows
-        out = []
-        for arow in self.rows:
-            acc = [z] * other.ncols
-            for k, a in enumerate(arow):
-                if a:
-                    brow = brows[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] = acc[j] + a * b
-            out.append(acc)
-        return Matrix(self.order, out, other.ncols)
+        return Matrix.from_rows(self.order, sp_matmul(self.rows, other.rows),
+                                other.ncols)
 
     def __pow__(self, e: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -160,119 +170,10 @@ class Matrix:
         """Kronecker product, blocks ordered row-major by self's entries."""
         if self.order != other.order:
             raise ShapeMismatch("matrices over different fields")
-        z = Cyclotomic.zero(self.order)
-        out = []
-        for arow in self.rows:
-            for brow in other.rows:
-                line = []
-                for a in arow:
-                    if a:
-                        line.extend(a * b if b else z for b in brow)
-                    else:
-                        line.extend([z] * other.ncols)
-                out.append(line)
-        return Matrix(self.order, out, self.ncols * other.ncols)
-
-    def augment(self, other: "Matrix") -> "Matrix":
-        if self.order != other.order or self.nrows != other.nrows:
-            raise ShapeMismatch("augment needs equal row counts")
-        return Matrix(self.order,
-                      [ra + rb for ra, rb in zip(self.rows, other.rows)],
-                      self.ncols + other.ncols)
-
-    # -- reduction-based operations ----------------------------------------
-
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        rows, pivots = sp_rref(sp_from_matrix(self), self.ncols)
-        return sp_to_matrix(self.order, rows, len(rows), self.ncols), tuple(pivots)
-
-    def rank(self) -> int:
-        return len(sp_rref(sp_from_matrix(self), self.ncols)[1])
-
-    def kernel_basis(self) -> "Matrix":
-        cols, pivots = sp_kernel(self.order, sp_from_matrix(self), self.ncols)
-        return sp_cols_to_matrix(self.order, cols, self.ncols)
-
-    def image_basis(self) -> "Matrix":
-        cols, pivots = sp_column_echelon(sp_columns_from_matrix(self), self.nrows)
-        return sp_cols_to_matrix(self.order, cols, self.nrows)
-
-    def solve(self, rhs: "Matrix") -> "Matrix":
-        """Unique solution of self @ X = rhs; SingularSystem otherwise."""
-        if self.order != rhs.order or self.nrows != rhs.nrows:
-            raise ShapeMismatch("solve needs matching row counts")
-        aug = self.augment(rhs)
-        rows, pivots = sp_rref(sp_from_matrix(aug), aug.ncols)
-        for p in pivots:
-            if p >= self.ncols:
-                raise SingularSystem("inconsistent system")
-        if len(pivots) < self.ncols:
-            raise SingularSystem("underdetermined system")
-        z = Cyclotomic.zero(self.order)
-        out = [[z] * rhs.ncols for _ in range(self.ncols)]
-        for row, p in zip(rows, pivots):
-            for j in range(rhs.ncols):
-                v = row.get(self.ncols + j)
-                if v is not None:
-                    out[p][j] = v
-        return Matrix(self.order, out, rhs.ncols)
-
-    def char_poly_eval(self, value) -> Cyclotomic:
-        """det(value * I - self), by fraction-exact elimination."""
-        if self.nrows != self.ncols:
-            raise ShapeMismatch("characteristic polynomial of a non-square matrix")
-        c = _entry(self.order, value)
-        rows = [{j: -e for j, e in r.items()} for r in sp_from_matrix(self)]
-        n = self.nrows
-        for i in range(n):
-            d = rows[i].get(i)
-            v = c + d if d is not None else c
-            if v:
-                rows[i][i] = v
-            elif i in rows[i]:
-                del rows[i][i]
-        return sp_determinant(self.order, rows, n)
-
-    def min_poly(self) -> list[Cyclotomic]:
-        """Monic minimal polynomial, ascending coefficients."""
-        if self.nrows != self.ncols:
-            raise ShapeMismatch("minimal polynomial of a non-square matrix")
-        n = self.nrows
-        order = self.order
-        one = Cyclotomic.one(order)
-        if n == 0:
-            return [one]
-        # Row-reduce flattened powers I, M, M^2, ... with an augmented tail
-        # recording the combination; first dependency gives the polynomial.
-        basis: list[tuple[int, dict, dict]] = []  # (lead, vector, combo)
-        power = Matrix.identity(order, n)
-        k = 0
-        while True:
-            vec = {i: v for i, v in enumerate(
-                e for row in power.rows for e in row) if v}
-            combo = {k: one}
-            for lead, bvec, bcombo in basis:
-                f = vec.get(lead)
-                if f:
-                    _sp_row_submul(vec, f, bvec)
-                    _sp_row_submul(combo, f, bcombo)
-            if not vec:
-                deg = max(combo)
-                top = combo[deg]
-                return [
-                    (combo.get(i, Cyclotomic.zero(order))) / top
-                    for i in range(deg + 1)
-                ]
-            lead = min(vec)
-            inv = vec[lead].inverse()
-            vec = {i: v * inv for i, v in vec.items()}
-            combo = {i: v * inv for i, v in combo.items()}
-            at = 0
-            while at < len(basis) and basis[at][0] < lead:
-                at += 1
-            basis.insert(at, (lead, vec, combo))
-            power = power @ self
-            k += 1
+        n = other.ncols
+        rows = [{ja * n + jb: a * b for ja, a in arow.items() for jb, b in brow.items()}
+                for arow in self.rows for brow in other.rows]
+        return Matrix.from_rows(self.order, rows, self.ncols * n)
 
 
 def _entry(order: int, e) -> Cyclotomic:
@@ -283,41 +184,11 @@ def _entry(order: int, e) -> Cyclotomic:
     return Cyclotomic.rational(order, e)
 
 
-# -- sparse internals -------------------------------------------------------
+# -- sparse routines --------------------------------------------------------
 #
 # Operators are lists of row dicts {col: entry}; bases are lists of column
 # dicts {row: entry} together with their pivot rows.  All loops are ordered,
-# so results are canonical.
-
-
-def sp_from_matrix(m: Matrix) -> list[dict]:
-    return [{j: e for j, e in enumerate(row) if e} for row in m.rows]
-
-
-def sp_columns_from_matrix(m: Matrix) -> list[dict]:
-    cols = [dict() for _ in range(m.ncols)]
-    for i, row in enumerate(m.rows):
-        for j, e in enumerate(row):
-            if e:
-                cols[j][i] = e
-    return cols
-
-
-def sp_to_matrix(order: int, rows: list[dict], nrows: int, ncols: int) -> Matrix:
-    z = Cyclotomic.zero(order)
-    dense = [[z] * ncols for _ in range(nrows)]
-    for i, row in enumerate(rows):
-        for j, e in row.items():
-            dense[i][j] = e
-    return Matrix(order, dense, ncols)
-
-def sp_cols_to_matrix(order: int, cols: list[dict], nrows: int) -> Matrix:
-    z = Cyclotomic.zero(order)
-    dense = [[z] * len(cols) for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, e in col.items():
-            dense[i][j] = e
-    return Matrix(order, dense, len(cols))
+# so results are canonical.  Inputs are never mutated.
 
 
 def _sp_row_submul(target: dict, factor, source: dict):

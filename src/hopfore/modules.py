@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from math import comb
 
-from .cyclotomic import Cyclotomic
 from .errors import (
     AlgebraMismatch,
     InvalidParameter,
@@ -112,35 +111,7 @@ def module_nilpotent(alg: AlgebraData, t: int, i) -> ExplicitModule:
     if not isinstance(t, int) or t < 1:
         raise InvalidParameter(f"t must be a positive integer, got {t!r}")
     alg.require_label(i)
-    rep = alg.simple_by_label[i]
-    d = rep.dim
-    dim = t * d
-    n = alg.field_order
-    z = Cyclotomic.zero(n)
-
-    gen_actions = []
-    for k, gen in enumerate(alg.group.generators):
-        rows = [[z] * dim for _ in range(dim)]
-        rho = rep.gen_mats[k]
-        scale = alg.one()
-        chig = alg.chi[gen]
-        for j in range(t):
-            base = j * d
-            for r in range(d):
-                for c in range(d):
-                    v = rho[r, c]
-                    if v:
-                        rows[base + r][base + c] = scale * v
-            scale = scale * chig
-        gen_actions.append(Matrix(n, rows, dim))
-
-    xrows = [[z] * dim for _ in range(dim)]
-    one = alg.one()
-    for j in range(t - 1):
-        for r in range(d):
-            xrows[(j + 1) * d + r][j * d + r] = one
-    x_action = Matrix(n, xrows, dim)
-    return ExplicitModule(alg, gen_actions, x_action, provenance=(alg.zero(),))
+    return _stratified(alg, i, t, {}, alg.zero())
 
 
 def module_eigen(alg: AlgebraData, t: int, i, beta) -> ExplicitModule:
@@ -151,42 +122,46 @@ def module_eigen(alg: AlgebraData, t: int, i, beta) -> ExplicitModule:
     b = alg.scalar(beta)
     if not b:
         raise ZeroBeta("beta must be nonzero; beta = 0 is the plain x-torsion family")
+    s = alg.s
+    # top stratum: x^(ts) = - sum_{l<t} C(t,l) (-b)^(t-l) x^(ls)
+    top = {l * s: -(comb(t, l) * ((-b) ** (t - l))) for l in range(t)}
+    return _stratified(alg, i, t * s, top, b)
+
+
+def _stratified(alg: AlgebraData, i, strata: int, top: dict, provenance) -> ExplicitModule:
+    """Module with basis x^j v, j < strata, over a basis v of the simple i.
+
+    g acts on stratum j by chi(g)^j rho_i(g); x maps stratum j to j + 1 and
+    the top stratum to the sum of top[l] times stratum l.
+    """
     rep = alg.simple_by_label[i]
     d = rep.dim
-    s = alg.s
-    dim = t * s * d
+    dim = strata * d
     n = alg.field_order
-    z = Cyclotomic.zero(n)
-
     gen_actions = []
     for k, gen in enumerate(alg.group.generators):
-        rows = [[z] * dim for _ in range(dim)]
-        rho = rep.gen_mats[k]
-        scale = alg.one()
+        rho = rep.gen_mats[k].rows
         chig = alg.chi[gen]
-        for j in range(t * s):
+        scale = alg.one()
+        rows = []
+        for j in range(strata):
             base = j * d
-            for r in range(d):
-                for c in range(d):
-                    v = rho[r, c]
-                    if v:
-                        rows[base + r][base + c] = scale * v
+            rows.extend({base + c: scale * v for c, v in r.items()} for r in rho)
             scale = scale * chig
-        gen_actions.append(Matrix(n, rows, dim))
+        gen_actions.append(Matrix.from_rows(n, rows, dim))
 
-    xrows = [[z] * dim for _ in range(dim)]
     one = alg.one()
-    for j in range(t * s - 1):
+    last = dim - d
+    xrows = []
+    for j in range(strata):
+        coeff = top.get(j)
         for r in range(d):
-            xrows[(j + 1) * d + r][j * d + r] = one
-    # top stratum: x^(ts) = - sum_{l<t} C(t,l) (-b)^(t-l) x^(ls)
-    for l in range(t):
-        coeff = -(comb(t, l) * ((-b) ** (t - l)))
-        if coeff:
-            for r in range(d):
-                xrows[l * s * d + r][(t * s - 1) * d + r] = coeff
-    x_action = Matrix(n, xrows, dim)
-    return ExplicitModule(alg, gen_actions, x_action, provenance=(b,))
+            row = {(j - 1) * d + r: one} if j else {}
+            if coeff:
+                row[last + r] = coeff
+            xrows.append(row)
+    x_action = Matrix.from_rows(n, xrows, dim)
+    return ExplicitModule(alg, gen_actions, x_action, provenance=(provenance,))
 
 
 def tensor(m: ExplicitModule, n: ExplicitModule) -> ExplicitModule:
@@ -207,27 +182,16 @@ def tensor(m: ExplicitModule, n: ExplicitModule) -> ExplicitModule:
 
 def direct_sum(m: ExplicitModule, n: ExplicitModule) -> ExplicitModule:
     _require_same_algebra(m, n)
-    alg = m.alg
-    z = Cyclotomic.zero(alg.field_order)
+    order = m.alg.field_order
     dim = m.dim + n.dim
 
     def block(a: Matrix, b: Matrix) -> Matrix:
-        rows = [[z] * dim for _ in range(dim)]
-        for r in range(a.nrows):
-            for c in range(a.ncols):
-                v = a[r, c]
-                if v:
-                    rows[r][c] = v
-        for r in range(b.nrows):
-            for c in range(b.ncols):
-                v = b[r, c]
-                if v:
-                    rows[m.dim + r][m.dim + c] = v
-        return Matrix(alg.field_order, rows, dim)
+        shifted = [{m.dim + c: v for c, v in row.items()} for row in b.rows]
+        return Matrix.from_rows(order, a.rows + tuple(shifted), dim)
 
     gen_actions = [block(a, b) for a, b in zip(m.gen_actions, n.gen_actions)]
     x_action = block(m.x_action, n.x_action)
-    return ExplicitModule(alg, gen_actions, x_action, m.provenance | n.provenance)
+    return ExplicitModule(m.alg, gen_actions, x_action, m.provenance | n.provenance)
 
 
 def zero_module(alg: AlgebraData) -> ExplicitModule:

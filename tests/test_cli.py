@@ -130,10 +130,9 @@ def test_verify_fusion_small(capsys):
     assert lines["ok"] == "true"
 
 
-def test_verify_fusion_json_and_workers(capsys):
+def test_verify_fusion_json(capsys):
     code, out, _ = run(capsys, ["verify", "fusion", "--m", "3", "--tmax", "1",
-                                "--teig", "1", "--betas", "2", "--workers", "2",
-                                "--json"])
+                                "--teig", "1", "--betas", "2", "--json"])
     assert code == 0
     data = json.loads(out)
     assert data["ok"] is True
@@ -191,12 +190,38 @@ def test_custom_algebra_file(tmp_path, capsys, c4):
     assert "V[16](c3)" in out and "V[10](c2)" in out
 
 
+def _c4_descriptor(**changes):
+    from conftest import cyclic_algebra
+
+    desc = dict(cyclic_algebra(4, 1).descriptor)
+    desc.update(changes)
+    return desc
+
+
+# One case per way a descriptor can be malformed; None means no file.
+BAD_ALGEBRA_FILES = {
+    "missing-file": None,
+    "bad-json": "{not json",
+    "missing-key": json.dumps({"kind": "custom", "field_order": 2}),
+    "non-integer-m": json.dumps({"kind": "dihedral", "m": "abc"}),
+    "json-list": json.dumps([{"kind": "dihedral", "m": 3}]),
+    "unknown-kind": json.dumps({"kind": "quaternion"}),
+    "int-mul-table": json.dumps(_c4_descriptor(mul_table=4)),
+    "ragged-matrix": json.dumps(_c4_descriptor(simples=[
+        {"label": "c0", "matrices": [[["1", "0"], ["0"]]]}])),
+}
+
+
 def test_bad_algebra_file(tmp_path, capsys):
-    missing = tmp_path / "nope.json"
-    code, _, err = run(capsys, ["tensor", "--algebra", str(missing),
-                                "--left", "x", "--right", "x"])
-    assert code == 2
-    assert "error" in err
+    for case, content in BAD_ALGEBRA_FILES.items():
+        path = tmp_path / f"{case}.json"
+        if content is not None:
+            path.write_text(content)
+        code, _, err = run(capsys, ["tensor", "--algebra", str(path),
+                                    "--left", "x", "--right", "x"])
+        assert (case, code) == (case, 2)
+        assert err.startswith("error: "), case
+        assert "Traceback" not in err, case
 
 
 def test_usage_errors_exit_2(capsys):

@@ -108,7 +108,8 @@ def _permutation_conjugate(mod, perm):
     one = Cyclotomic.one(n)
     p = Matrix(n, [[one if perm[r] == c else zero for c in range(mod.dim)]
                    for r in range(mod.dim)])
-    pinv = p.transpose()
+    pinv = Matrix(n, [[one if perm[c] == r else zero for c in range(mod.dim)]
+                      for r in range(mod.dim)])
     gens = [p @ g @ pinv for g in mod.gen_actions]
     return ExplicitModule(mod.alg, gens, p @ mod.x_action @ pinv, mod.provenance)
 

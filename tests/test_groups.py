@@ -125,6 +125,20 @@ def test_custom_rejects_bad_data(alg3):
                        alg3.field_order)
 
 
+def test_non_associative_table_rejected_at_any_size():
+    # Z_202 with one product changed: identity, inverses and generation by
+    # g1 survive, associativity does not ((1*1)*3 = 6 but 1*(1*3) = 5).
+    from hopfore.errors import InvalidParameter
+    from hopfore.groups import GroupData
+
+    n = 202
+    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
+    GroupData(mul, generators=(1,))
+    mul[2][3] = 6
+    with pytest.raises(InvalidParameter, match="not associative"):
+        GroupData(mul, generators=(1,))
+
+
 def test_custom_rejects_reducible():
     n = 4
     mul = [[(i + j) % n for j in range(n)] for i in range(n)]
