@@ -91,9 +91,14 @@ def field_degree(n: int) -> int:
 
 
 class Cyclotomic:
-    """An element of Q(zeta_n), immutable and hashable."""
+    """An element of Q(zeta_n), immutable and hashable.
 
-    __slots__ = ("order", "coeffs")
+    The constructor converts and length-checks its coordinates.  Results of
+    the field operations go through `_make` instead, which trusts that its
+    coordinates are already a tuple of d Rationals.
+    """
+
+    __slots__ = ("order", "coeffs", "_hash")
 
     def __init__(self, order: int, coeffs):
         d = _tables(order)[0]
@@ -140,7 +145,12 @@ class Cyclotomic:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.order, self.coeffs))
+            _set_hash(self, h)
+            return h
 
     def rational_value(self):
         """The element as a Rational if it lies in Q, else None."""
@@ -161,7 +171,7 @@ class Cyclotomic:
         if other is None:
             return NotImplemented
         self._check(other)
-        return Cyclotomic(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _make(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -170,7 +180,7 @@ class Cyclotomic:
         if other is None:
             return NotImplemented
         self._check(other)
-        return Cyclotomic(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _make(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         other = _coerce(self.order, other)
@@ -179,22 +189,22 @@ class Cyclotomic:
         return other - self
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-a for a in self.coeffs))
+        return _make(self.order, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, type(_Q0))):
             q = Rational(other)
-            return Cyclotomic(self.order, tuple(a * q for a in self.coeffs))
+            return _make(self.order, tuple(a * q for a in self.coeffs))
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         self._check(other)
         a, b = self.coeffs, other.coeffs
         if not any(b[1:]):
             q = b[0]
-            return Cyclotomic(self.order, tuple(x * q for x in a))
+            return _make(self.order, tuple(x * q for x in a))
         if not any(a[1:]):
             q = a[0]
-            return Cyclotomic(self.order, tuple(x * q for x in b))
+            return _make(self.order, tuple(x * q for x in b))
         d, reduce_rows, _ = _tables(self.order)
         conv = [_Q0] * (2 * d - 1)
         for i, ai in enumerate(a):
@@ -210,13 +220,16 @@ class Cyclotomic:
                 for i, r in enumerate(row):
                     if r:
                         out[i] += c * r
-        return Cyclotomic(self.order, tuple(out))
+        return _make(self.order, tuple(out))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic")
+        a = self.coeffs
+        if not any(a[1:]):
+            return _make(self.order, (_Q1 / a[0],) + a[1:])
         # Extended Euclid in Q[y] against Phi_n.
         phi = [Rational(c) for c in cyclotomic_polynomial(self.order)]
         r0, r1 = phi, list(self.coeffs)
@@ -229,14 +242,14 @@ class Cyclotomic:
         inv_coeffs = [c / lead for c in s0]
         d = _tables(self.order)[0]
         inv_coeffs = (inv_coeffs + [_Q0] * d)[:d]
-        return Cyclotomic(self.order, inv_coeffs)
+        return _make(self.order, tuple(inv_coeffs))
 
     def __truediv__(self, other):
         if isinstance(other, (int, type(_Q0))):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
             q = _Q1 / Rational(other)
-            return Cyclotomic(self.order, tuple(a * q for a in self.coeffs))
+            return _make(self.order, tuple(a * q for a in self.coeffs))
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         self._check(other)
@@ -303,9 +316,22 @@ class Cyclotomic:
         return tuple(self.coeffs)
 
 
+_set_order = Cyclotomic.order.__set__
+_set_coeffs = Cyclotomic.coeffs.__set__
+_set_hash = Cyclotomic._hash.__set__
+
+
+def _make(order: int, coeffs: tuple) -> Cyclotomic:
+    """Trusted constructor: coeffs is a tuple of field_degree(order) Rationals."""
+    x = object.__new__(Cyclotomic)
+    _set_order(x, order)
+    _set_coeffs(x, coeffs)
+    return x
+
+
 def _const(order: int, q) -> Cyclotomic:
     d = _tables(order)[0]
-    return Cyclotomic(order, (q,) + (_Q0,) * (d - 1))
+    return _make(order, (q,) + (_Q0,) * (d - 1))
 
 
 def _coerce(order: int, value):

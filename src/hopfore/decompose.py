@@ -14,6 +14,12 @@ the group, and their isotypic multiplicities count strings:
 where mu_j(c) is the multiplicity of the simple c inside K_j.  A final
 cross-check recomputes the group-level isotypic decomposition from the
 labels and compares it against the module itself.
+
+Multiplicities come from characters, which are class functions, so group
+actions, their restrictions and their traces are taken at one
+representative per conjugacy class (GroupData.classes) and weighted by
+AlgebraData.class_weights.  That is only valid for representations: the
+input module must be one, which validate() checks.
 """
 
 from __future__ import annotations
@@ -70,20 +76,26 @@ class DecompResult:
 
 
 def isotypic_multiplicities(m: ExplicitModule) -> dict:
-    """Multiplicity of each simple inside m as a module over the group."""
+    """Multiplicity of each simple inside m as a module over the group.
+
+    m must be a representation of the group (validate() checks this): the
+    traces are taken at the conjugacy class representatives only.  Many
+    non-representations still fail here with NonIntegerMultiplicity, but
+    not all of them need to.
+    """
     alg = m.alg
-    traces = [m.element_action(g).trace() for g in range(alg.group.size)]
+    traces = [m.element_action(g).trace() for g, _ in alg.group.classes]
     return _isotypic_from_traces(alg, traces)
 
 
 def _isotypic_from_traces(alg: AlgebraData, traces) -> dict:
-    group = alg.group
+    """Multiplicities from traces at the class representatives."""
     out = {}
-    for s in alg.simples:
+    for s, weights in zip(alg.simples, alg.class_weights):
         tot = Cyclotomic.zero(alg.field_order)
-        for g in range(group.size):
-            tot = tot + s.char[group.inverse[g]] * traces[g]
-        val = (tot / group.size).rational_value()
+        for w, tr in zip(weights, traces):
+            tot = tot + w * tr
+        val = tot.rational_value()
         if val is None or val.denominator != 1 or val < 0:
             raise NonIntegerMultiplicity(
                 f"isotypic multiplicity of {s.label!r} came out {val}")
@@ -135,7 +147,7 @@ def decompose(m: ExplicitModule, extra_candidates=()) -> DecompResult:
             f"candidate eigenvalues cover {covered} of {dim} dimensions; "
             "pass the missing eigenvalues of x^s as extra_candidates")
 
-    element_rows = [m.element_action(g).rows for g in range(alg.group.size)]
+    element_rows = [m.element_action(g).rows for g, _ in alg.group.classes]
 
     labels: Counter = Counter()
     eigenvalues = []
@@ -224,5 +236,6 @@ def _count_strings(alg: AlgebraData, labels: Counter, c, nil_op, rows_w, w: int)
 
 
 def _space_isotypic(alg: AlgebraData, rows_w, space) -> dict:
+    # rows_w holds the actions of the class representatives.
     traces = [sp_trace_restrict(alg.field_order, rows, space) for rows in rows_w]
     return _isotypic_from_traces(alg, traces)

@@ -695,11 +695,15 @@ def verify_presentation(alg, which="combined", betas=(), t_max=6) -> dict:
     ring (groth_H), string subring (green_R), full Green ring (green_H),
     or everything (combined).  betas is the finite eigenvalue test set;
     sums of eigenvalues are only tested when they land back in the set.
+    t_max bounds the string lengths and powers tested; a negative t_max,
+    which would silently drop checks, is rejected.
     """
     _require_dihedral(alg)
     suites = ("groth_kDn", "groth_H", "green_R", "green_H", "combined")
     if which not in suites:
         raise InvalidParameter(f"which must be one of {suites}")
+    if not isinstance(t_max, int) or t_max < 0:
+        raise InvalidParameter(f"t_max must be a nonnegative integer, got {t_max!r}")
     bvals = [alg.scalar(b) for b in betas]
     for b in bvals:
         if not b:

@@ -71,9 +71,12 @@ def check_pair(alg, left, right, cache=None):
 
 def run_grid(alg, labels=None, nil_tmax=3, eig_tmax=2, betas=()):
     """Check every ordered pair of grid labels, in order; the summary is
-    deterministic, so it can be compared against golden files."""
+    deterministic, so it can be compared against golden files.  An empty
+    label grid is rejected: it would check nothing and report ok."""
     if labels is None:
         labels = grid_labels(alg, nil_tmax, eig_tmax, betas)
+    if not labels:
+        raise InvalidParameter("the label grid is empty, so nothing would be checked")
     cache = {lab: build_module(alg, lab) for lab in labels}
     pairs = [(l, r) for l in labels for r in labels]
     results = [check_pair(alg, left, right, cache) for left, right in pairs]

@@ -6,6 +6,13 @@ group element a, a linear character chi with q = chi(a) != 1, the full list
 of simple kG-modules with exact matrices, and derived tables (the twist
 permutation sigma, central scalars omega, fusion coefficients).  All
 scalars live in one cyclotomic field fixed per algebra.
+
+Characters of representations are class functions, so character sums run
+over the conjugacy classes (GroupData.classes), one representative each,
+weighted by the class size.  AlgebraData.class_weights holds the weights
+that turn a module's traces at the class representatives into isotypic
+multiplicities; it is built only once every simple has been checked to be
+a homomorphism, since only then are the simple characters class functions.
 """
 
 from __future__ import annotations
@@ -33,7 +40,8 @@ DIHEDRAL_CHARS = ("eps", "lam", "chi", "lamchi")
 class GroupData:
     """A finite group as a multiplication table plus chosen generators."""
 
-    __slots__ = ("size", "mul", "identity", "inverse", "generators", "words", "names")
+    __slots__ = ("size", "mul", "identity", "inverse", "generators", "words", "names",
+                 "classes")
 
     def __init__(self, mul, generators, names=None):
         mul = tuple(tuple(row) for row in mul)
@@ -89,6 +97,7 @@ class GroupData:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "words", tuple(words[e] for e in range(size)))
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "classes", _conjugacy_classes(mul, inverse))
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupData is immutable")
@@ -103,6 +112,26 @@ class GroupData:
 
     def is_central(self, g: int) -> bool:
         return all(self.mul[g][h] == self.mul[h][g] for h in range(self.size))
+
+
+def _conjugacy_classes(mul, inverse) -> tuple[tuple[int, int], ...]:
+    """(representative, size) per conjugacy class, ordered by representative.
+
+    Scanning elements in index order, the first element not yet in a class
+    is the smallest of its own class, so it is the representative; each
+    class costs one pass over the group, O(n^2) in all.
+    """
+    size = len(mul)
+    seen = [False] * size
+    classes = []
+    for g in range(size):
+        if seen[g]:
+            continue
+        members = {mul[mul[h][g]][inverse[h]] for h in range(size)}
+        for c in members:
+            seen[c] = True
+        classes.append((g, len(members)))
+    return tuple(classes)
 
 
 class SimpleRep:
@@ -148,7 +177,7 @@ class AlgebraData:
         "group", "field_order", "central", "chi", "q", "s", "fusion_ready",
         "simples", "labels", "label_index", "simple_by_label", "sigma",
         "omega", "orbits", "orbit_rep", "orbit_reps", "fusion",
-        "kind", "descriptor", "_hash",
+        "class_weights", "kind", "descriptor", "_hash",
     )
 
     def __init__(self, group, simples, central, chi, field_order, kind, descriptor):
@@ -201,6 +230,8 @@ class AlgebraData:
             raise IncompleteSimpleList(
                 f"sum of squared dimensions is {total}, group order is {group.size}")
         # Each simple must be a homomorphism and irreducible; pairs distinct.
+        # The class sums below are valid only once every simple has passed
+        # the homomorphism check.
         for s in self.simples:
             mats = s.element_mats
             for g in range(group.size):
@@ -208,21 +239,37 @@ class AlgebraData:
                     if mats[g] @ s.gen_mats[k] != mats[group.mul[g][gen]]:
                         raise InvalidParameter(
                             f"simple {s.label!r}: matrices violate the group table")
-            if self._char_inner(s.char, s.char) != 1:
+        # |C| chi_s(g_C^{-1}) / |G| per simple s and class C
+        object.__setattr__(self, "class_weights", tuple(
+            tuple(s.char[group.inverse[g]] * size / group.size
+                  for g, size in group.classes)
+            for s in self.simples))
+        at_reps = [self._class_values(s.char) for s in self.simples]
+        for k, s in enumerate(self.simples):
+            if self._char_inner(at_reps[k], k) != 1:
                 raise NotIrreducible(f"simple {s.label!r} has character norm != 1")
         for i, si in enumerate(self.simples):
-            for sj in self.simples[i + 1:]:
-                if self._char_inner(si.char, sj.char) != 0:
+            for j in range(i + 1, len(self.simples)):
+                if self._char_inner(at_reps[i], j) != 0:
                     raise InvalidParameter(
-                        f"simples {si.label!r} and {sj.label!r} are not distinct")
+                        f"simples {si.label!r} and {self.simples[j].label!r} "
+                        "are not distinct")
 
-    def _char_inner(self, char_a, char_b):
-        """(1/|G|) sum over g of a(g) b(g^{-1}); exact, must be rational."""
-        group = self.group
+    def _class_values(self, char) -> tuple:
+        """A class function's values at the class representatives."""
+        return tuple(char[g] for g, _ in self.group.classes)
+
+    def _char_inner(self, values, k: int):
+        """(1/|G|) sum over g of a(g) chi_k(g^{-1}), exact, must be rational.
+
+        a is a class function given by its values at the conjugacy class
+        representatives, and chi_k is the character of the k-th simple; the
+        sum is one term per class, weighted by class_weights[k].
+        """
         tot = Cyclotomic.zero(self.field_order)
-        for g in range(group.size):
-            tot = tot + char_a[g] * char_b[group.inverse[g]]
-        val = (tot / group.size).rational_value()
+        for v, w in zip(values, self.class_weights[k]):
+            tot = tot + v * w
+        val = tot.rational_value()
         if val is None:
             raise NonIntegerMultiplicity("character inner product is irrational")
         return val
@@ -276,14 +323,14 @@ class AlgebraData:
         object.__setattr__(self, "orbit_reps", tuple(rep for rep, _ in orbits))
 
     def _build_fusion(self):
-        group = self.group
         table = {}
-        for si in self.simples:
-            for sj in self.simples:
-                prod = tuple(a * b for a, b in zip(si.char, sj.char))
+        at_reps = [self._class_values(s.char) for s in self.simples]
+        for si, ai in zip(self.simples, at_reps):
+            for sj, aj in zip(self.simples, at_reps):
+                prod = tuple(a * b for a, b in zip(ai, aj))
                 out = Counter()
-                for sl in self.simples:
-                    n = self._char_inner(prod, sl.char)
+                for k, sl in enumerate(self.simples):
+                    n = self._char_inner(prod, k)
                     if n:
                         if n.denominator != 1 or n < 0:
                             raise NonIntegerMultiplicity(

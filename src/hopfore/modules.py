@@ -10,6 +10,15 @@ quotient of the induced module on V_i has basis x^j v over a basis v of
 V_i, a group element g acts on stratum j by chi(g)^j rho_i(g), and x shifts
 strata upward, wrapping on the top stratum for the eigenvalue family.
 
+Group elements act through their generator words: the action of g is the
+product of the generator matrices along g's stored word.  A tensor product
+remembers its two factors, and since the coproduct of g is g (.) g, its
+action of g is the Kronecker product of the factors' actions of g, taken
+from their caches instead of multiplying out the word again.  validate()
+still expands the words over the module's own generator matrices, so it
+checks those matrices against the group table independently of the
+Kronecker shortcut.
+
 Each module carries a provenance set: field values that exhaust the
 possible eigenvalues of x^s on it.  Constructors seed it and tensor/sum
 propagate it, so later decomposition knows where to look.
@@ -25,14 +34,15 @@ from .errors import (
     InvalidParameter,
     ZeroBeta,
 )
-from .groups import AlgebraData, algebra_from_descriptor
+from .groups import AlgebraData, algebra_from_descriptor, expand_words
 from .linalg import Matrix
 
 
 class ExplicitModule:
     """A finite-dimensional module given by explicit matrices."""
 
-    __slots__ = ("alg", "dim", "gen_actions", "x_action", "provenance", "_element_cache")
+    __slots__ = ("alg", "dim", "gen_actions", "x_action", "provenance", "factors",
+                 "_element_cache")
 
     def __init__(self, alg: AlgebraData, gen_actions, x_action: Matrix, provenance):
         gen_actions = tuple(gen_actions)
@@ -49,6 +59,9 @@ class ExplicitModule:
         object.__setattr__(self, "gen_actions", gen_actions)
         object.__setattr__(self, "x_action", x_action)
         object.__setattr__(self, "provenance", frozenset(alg.scalar(v) for v in provenance))
+        # (m, n) when tensor(m, n) built this module, so that gen_actions are
+        # the Kronecker products of theirs; None otherwise
+        object.__setattr__(self, "factors", None)
         object.__setattr__(self, "_element_cache", {})
 
     def __setattr__(self, name, value):
@@ -61,13 +74,18 @@ class ExplicitModule:
                 and self.x_action == other.x_action)
 
     def element_action(self, g: int) -> Matrix:
-        """Action of group element g, expanded from its generator word."""
+        """Action of group element g: A(g) (.) B(g) on a tensor product of
+        A and B, else the product along g's generator word."""
         cached = self._element_cache.get(g)
         if cached is None:
-            m = Matrix.identity(self.alg.field_order, self.dim)
-            for k in self.alg.group.words[g]:
-                m = m @ self.gen_actions[k]
-            self._element_cache[g] = cached = m
+            if self.factors is not None:
+                a, b = self.factors
+                cached = a.element_action(g).tensor_product(b.element_action(g))
+            else:
+                cached = Matrix.identity(self.alg.field_order, self.dim)
+                for k in self.alg.group.words[g]:
+                    cached = cached @ self.gen_actions[k]
+            self._element_cache[g] = cached
         return cached
 
     # -- serialization -------------------------------------------------------
@@ -177,7 +195,9 @@ def tensor(m: ExplicitModule, n: ExplicitModule) -> ExplicitModule:
     omegas = {alg.omega_s(l) for l in alg.labels} | {alg.scalar(1)}
     prov = {u * va + vb for va in m.provenance for vb in n.provenance for u in omegas}
     prov |= m.provenance | n.provenance
-    return ExplicitModule(alg, gen_actions, x_action, prov)
+    prod = ExplicitModule(alg, gen_actions, x_action, prov)
+    object.__setattr__(prod, "factors", (m, n))
+    return prod
 
 
 def direct_sum(m: ExplicitModule, n: ExplicitModule) -> ExplicitModule:
@@ -204,15 +224,18 @@ def validate(m: ExplicitModule) -> list[str]:
 
     Checks that the generator matrices extend to a representation of the
     whole group table and that x skew-commutes with every generator by
-    chi^{-1}.
+    chi^{-1}.  The element matrices are expanded here from the generator
+    words, not taken from element_action, so the check does not rest on
+    its Kronecker shortcut for tensor products.
     """
     findings = []
     alg = m.alg
     group = alg.group
+    mats = expand_words(group, m.gen_actions, alg.field_order, m.dim)
     for g in range(group.size):
-        mg = m.element_action(g)
+        mg = mats[g]
         for k, gen in enumerate(group.generators):
-            if mg @ m.gen_actions[k] != m.element_action(group.mul[g][gen]):
+            if mg @ m.gen_actions[k] != mats[group.mul[g][gen]]:
                 findings.append(
                     f"group-relation: element {group.names[g]} * generator {k} "
                     "violates the multiplication table")

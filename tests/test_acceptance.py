@@ -2,7 +2,9 @@
 independent matrix oracle, every ring identity against exact arithmetic.
 
 Each test here is one acceptance gate; together they cover the full label
-grid (both dihedral parameters), the power-basis combinatorics, the ring
+grid (both dihedral parameters), a seeded sample of the m = 7 grid, the full
+C_8 grid with the nontrivial eigenvalue twist, the power-basis
+combinatorics, the ring
 presentations, the structural invariants of the indecomposables, ring
 homomorphism compatibility, the one genuinely ambiguous index range in the
 string-overlap formula, and commutativity.
@@ -20,7 +22,9 @@ from hopfore.greenring import (
     GROTH, binomial_power_decomposition, green_basis, to_groth, unit,
     verify_presentation,
 )
-from hopfore.grid import build_module, grid_labels, radical_length, run_grid
+from hopfore.grid import (
+    build_module, check_pair, grid_labels, radical_length, run_grid,
+)
 from hopfore.groups import dihedral_algebra
 from hopfore.labels import IndecLabel, NIL, label_dim, multiset_dim
 from hopfore.modules import direct_sum, tensor
@@ -40,6 +44,28 @@ def test_differential_fusion_grid(grids):
         summary = run_grid(alg, labels)
         assert summary["pairs"] == len(labels) ** 2
         assert summary["mismatches"] == [], (m, summary["mismatches"][:3])
+
+
+def test_differential_fusion_grid_m7_sample(alg7):
+    """Closed rules equal the matrix oracle on a seeded sample of 60 ordered
+    pairs of the m = 7 acceptance grid."""
+    labels = grid_labels(alg7, 3, 2, BETAS)
+    rng = random.Random(20261018)
+    pairs = rng.sample([(l, r) for l in labels for r in labels], 60)
+    cache = {}
+    mismatches = [rec for rec in (check_pair(alg7, l, r, cache) for l, r in pairs)
+                  if rec is not None]
+    assert mismatches == [], mismatches[:3]
+
+
+def test_differential_fusion_grid_c8_twist(c8):
+    """Closed rules equal the matrix oracle on every ordered pair of the C_8
+    grid with chi = zeta_8^2: s = 4, and omega_i^s = (-1)^i twists the
+    eigenvalues."""
+    labels = grid_labels(c8, 3, 1, (1, -1, 2))
+    summary = run_grid(c8, labels)
+    assert summary["pairs"] == 900
+    assert summary["mismatches"] == [], summary["mismatches"][:3]
 
 
 def test_iterated_powers_match_binomial_decomposition():

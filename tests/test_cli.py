@@ -232,3 +232,37 @@ def test_usage_errors_exit_2(capsys):
         cli.main(["nonsense"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_vacuous_verification_rejected(capsys):
+    # An empty label grid, or a negative t_max, would check nothing (or
+    # silently drop checks) and still report ok; both are usage errors.
+    for argv in (["verify", "fusion", "--tmax", "0"],
+                 ["verify", "fusion", "--tmax", "0", "--teig", "1", "--betas", ""],
+                 ["verify", "presentation", "--tmax", "-2"]):
+        code, out, err = run(capsys, argv)
+        assert (argv, code) == (argv, 2)
+        assert out == "", argv
+        assert err.startswith("error: "), argv
+        assert "Traceback" not in err, argv
+
+
+# One case per way a label can be malformed.
+BAD_LABELS = {
+    "zero-length": "V[0](eps)",
+    "unknown-simple": "V[2](foo)",
+    "unclosed": "V[1](eps",
+    "zero-beta": "V[1](1;0)",
+    "empty": "",
+}
+
+
+def test_bad_labels_exit_2(capsys):
+    for case, label in BAD_LABELS.items():
+        for argv in (["tensor", "--left", label, "--right", "x"],
+                     ["tensor", "--left", "x", "--right", label, "--method", "both"],
+                     ["module", "export", "--label", label, "--out", "-"]):
+            code, _, err = run(capsys, argv)
+            assert (case, argv, code) == (case, argv, 2)
+            assert err.startswith("error: "), (case, argv)
+            assert "Traceback" not in err, (case, argv)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hopfore.cyclotomic import (
     Cyclotomic, Rational, cyclotomic_polynomial, field_degree,
 )
-from hopfore.errors import OrderMismatch
+from hopfore.errors import InvalidParameter, OrderMismatch
 
 
 def test_cyclotomic_polynomials_small():
@@ -103,3 +103,32 @@ def test_literal_round_trip(a):
 @given(a=_scalars(8), b=_scalars(8))
 def test_sort_key_consistent_with_equality(a, b):
     assert (a.sort_key() == b.sort_key()) == (a == b)
+
+
+def test_rational_inverse():
+    for order in (1, 6, 10, 14):
+        one = Cyclotomic.one(order)
+        for q in (1, -1, 2, -3, Rational(1, 2), Rational(-7, 5)):
+            x = Cyclotomic.rational(order, q)
+            inv = x.inverse()
+            assert x * inv == one, (order, q)
+            assert inv.rational_value() == 1 / Rational(q), (order, q)
+            assert (one / x) == inv
+
+
+def test_hash_cached_and_consistent():
+    z = Cyclotomic.zeta(10)
+    a = z * z - 1
+    b = Cyclotomic(10, a.coeffs)
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash(a) == hash((10, a.coeffs))
+    assert len({a, b, z}) == 2
+
+
+def test_public_constructor_validates():
+    with pytest.raises(InvalidParameter):
+        Cyclotomic(6, (1, 2, 3))
+    x = Cyclotomic(6, (1, "1/2"))
+    assert x.coeffs == (Rational(1), Rational(1, 2))
+    with pytest.raises(AttributeError):
+        x.order = 5

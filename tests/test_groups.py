@@ -190,3 +190,31 @@ def test_not_fusion_ready():
     assert alg2.q.multiplicative_order() == 4
     assert alg2.s == 8
     assert not alg2.fusion_ready
+
+
+def _conjugacy_class(group, g):
+    return {group.mul[group.mul[h][g]][group.inverse[h]] for h in range(group.size)}
+
+
+def test_conjugacy_classes(alg3, alg5, alg7, c4, c8):
+    for alg, want in ((alg3, 6), (alg5, 8), (alg7, 10), (c4, 4), (c8, 8)):
+        group = alg.group
+        assert len(group.classes) == want
+        seen = set()
+        for rep, size in group.classes:
+            members = _conjugacy_class(group, rep)
+            assert rep == min(members) and len(members) == size
+            for g in members:
+                assert _conjugacy_class(group, g) == members
+            assert not seen & members
+            seen |= members
+        assert seen == set(range(group.size))
+        assert [rep for rep, _ in group.classes] == sorted(
+            rep for rep, _ in group.classes)
+        # the weights turn the character of each simple into its own
+        # multiplicity 1, and every other simple's into 0
+        for s, weights in zip(alg.simples, alg.class_weights):
+            for t in alg.simples:
+                got = sum((w * t.char[rep] for w, (rep, _) in
+                           zip(weights, group.classes)), alg.zero())
+                assert got == (1 if t is s else 0), (s.label, t.label)

@@ -149,3 +149,35 @@ def test_tensor_of_constructors_validates(alg3, t1, i1, t2, i2, b):
     right = module_eigen(alg3, t2, i2, b)
     assert validate(tensor(left, right)) == []
     assert validate(tensor(right, left)) == []
+
+
+def _assert_kronecker_action_matches_words(mod):
+    from hopfore.groups import expand_words
+
+    alg = mod.alg
+    assert mod.factors is not None
+    words = expand_words(alg.group, mod.gen_actions, alg.field_order, mod.dim)
+    for g in range(alg.group.size):
+        assert mod.element_action(g) == words[g], g
+
+
+def test_tensor_element_action_is_kronecker(alg3, c8):
+    inner = tensor(module_nilpotent(alg3, 2, 1), module_eigen(alg3, 1, "lam", 2))
+    nested = tensor(inner, module_nilpotent(alg3, 2, "chi"))
+    assert nested.factors[0] is inner
+    _assert_kronecker_action_matches_words(inner)
+    _assert_kronecker_action_matches_words(nested)
+    cyc = tensor(module_eigen(c8, 1, "c3", -2), module_nilpotent(c8, 3, "c1"))
+    _assert_kronecker_action_matches_words(cyc)
+    # modules built any other way keep word expansion
+    assert module_nilpotent(alg3, 2, 1).factors is None
+    assert direct_sum(inner, inner).factors is None
+
+
+def test_validate_checks_tensor_generators(alg3):
+    good = module_nilpotent(alg3, 1, "eps")
+    n = alg3.field_order
+    bad_gen = [Matrix(n, [[Rational(1, 3)]]) for _ in good.gen_actions]
+    bad = ExplicitModule(alg3, bad_gen, good.x_action, good.provenance)
+    report = validate(tensor(bad, module_nilpotent(alg3, 2, 1)))
+    assert any(line.startswith("group-relation") for line in report)
