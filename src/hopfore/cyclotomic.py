@@ -1,26 +1,26 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_n).
 
-Elements are stored as coordinate tuples over the power basis
-1, w, ..., w^(d-1) where w = zeta_n, d = deg Phi_n, and Phi_n is the n-th
-cyclotomic polynomial.  Coordinates are exact rationals (gmpy2.mpq when
-available, fractions.Fraction otherwise); no floating point is used
-anywhere.  Mixing elements of different orders is an error rather than a
-silent promotion, so callers stay inside one fixed field per algebra.
+Elements live over the power basis 1, w, ..., w^(d-1) where w = zeta_n,
+d = deg Phi_n, and Phi_n is the n-th cyclotomic polynomial.  An element is
+stored as integer numerators over one positive integer denominator, with no
+factor common to all of them (zero is 0/1), so arithmetic on integers,
+which most scalars of the theory are, runs on Python ints alone.  The
+inverse of an irrational element is the product of its Galois
+conjugates divided by its norm.  Exact rationals (`Rational`, which is
+fractions.Fraction) appear only at the edges: parsing, printing, ordering
+and hashing.  No floating point is used anywhere.  Mixing elements of
+different orders is an error rather than a silent promotion, so callers
+stay inside one fixed field per algebra.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction as Rational
 from functools import lru_cache
-
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - gmpy2 is an install requirement
-    from fractions import Fraction as Rational
+from math import gcd, lcm
+from operator import add, sub
 
 from .errors import InvalidParameter, OrderMismatch
-
-_Q0 = Rational(0)
-_Q1 = Rational(1)
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
@@ -93,12 +93,15 @@ def field_degree(n: int) -> int:
 class Cyclotomic:
     """An element of Q(zeta_n), immutable and hashable.
 
-    The constructor converts and length-checks its coordinates.  Results of
-    the field operations go through `_make` instead, which trusts that its
-    coordinates are already a tuple of d Rationals.
+    `num` holds the integer numerators of the power-basis coordinates and
+    `den` their common denominator: den > 0 and gcd(den, *num) == 1, so
+    equal elements have equal fields.  The constructor converts and
+    length-checks its coordinates.  Results of the field operations go
+    through `_make` or `_norm` instead, which trust that `num` is a tuple of
+    d ints.
     """
 
-    __slots__ = ("order", "coeffs", "_hash")
+    __slots__ = ("order", "num", "den", "_hash")
 
     def __init__(self, order: int, coeffs):
         d = _tables(order)[0]
@@ -107,156 +110,178 @@ class Cyclotomic:
             raise InvalidParameter(
                 f"order-{order} element needs {d} coordinates, got {len(coeffs)}"
             )
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        den = lcm(*(q.denominator for q in coeffs))
+        _set_order(self, order)
+        _set_num(self, tuple(q.numerator * (den // q.denominator) for q in coeffs))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coordinates as Rationals."""
+        den = self.den
+        return tuple(Rational(a, den) for a in self.num)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(order: int) -> "Cyclotomic":
-        return _const(order, _Q0)
+        return _const(order, 0, 1)
 
     @staticmethod
     def one(order: int) -> "Cyclotomic":
-        return _const(order, _Q1)
+        return _const(order, 1, 1)
 
     @staticmethod
     def rational(order: int, value) -> "Cyclotomic":
-        return _const(order, Rational(value))
+        q = Rational(value)
+        return _const(order, q.numerator, q.denominator)
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> "Cyclotomic":
-        d, _, zpow = _tables(order)
-        return Cyclotomic(order, zpow[power % order])
+        zpow = _tables(order)[2]
+        return _make(order, zpow[power % order], 1)
 
     # -- basic structure ---------------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Cyclotomic):
-            return self.order == other.order and self.coeffs == other.coeffs
-        if isinstance(other, (int, type(Rational(0)))):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
+            return (self.order == other.order and self.den == other.den
+                    and self.num == other.num)
+        if isinstance(other, (int, Rational)):
+            num = self.num
+            return (self.den == other.denominator and num[0] == other.numerator
+                    and not any(num[1:]))
         return NotImplemented
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.order, self.coeffs))
+            # an integer Rational hashes like the int, so with den == 1 the
+            # numerators give hash((order, coeffs)) without building Rationals
+            h = hash((self.order, self.num if self.den == 1 else self.coeffs))
             _set_hash(self, h)
             return h
 
     def rational_value(self):
         """The element as a Rational if it lies in Q, else None."""
-        if any(self.coeffs[1:]):
+        num = self.num
+        if any(num[1:]):
             return None
-        return self.coeffs[0]
+        return Rational(num[0], self.den)
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other: "Cyclotomic"):
-        if self.order != other.order:
-            raise OrderMismatch(
-                f"cannot combine orders {self.order} and {other.order}"
-            )
+    def _operand(self, other):
+        """other as an element of this field, or None if it is no scalar."""
+        if isinstance(other, Cyclotomic):
+            if self.order != other.order:
+                raise _mismatch(self, other)
+            return other
+        if isinstance(other, (int, Rational)):
+            return _const(self.order, other.numerator, other.denominator)
+        return None
 
     def __add__(self, other):
-        other = _coerce(self.order, other)
+        other = self._operand(other)
         if other is None:
             return NotImplemented
-        self._check(other)
-        return _make(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            return _norm(self.order, tuple(map(add, self.num, other.num)), da)
+        return _norm(self.order,
+                     tuple(a * db + b * da for a, b in zip(self.num, other.num)),
+                     da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(self.order, other)
+        other = self._operand(other)
         if other is None:
             return NotImplemented
-        self._check(other)
-        return _make(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            return _norm(self.order, tuple(map(sub, self.num, other.num)), da)
+        return _norm(self.order,
+                     tuple(a * db - b * da for a, b in zip(self.num, other.num)),
+                     da * db)
 
     def __rsub__(self, other):
-        other = _coerce(self.order, other)
+        other = self._operand(other)
         if other is None:
             return NotImplemented
         return other - self
 
     def __neg__(self):
-        return _make(self.order, tuple(-a for a in self.coeffs))
+        return _make(self.order, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, type(_Q0))):
-            q = Rational(other)
-            return _make(self.order, tuple(a * q for a in self.coeffs))
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if not any(b[1:]):
-            q = b[0]
-            return _make(self.order, tuple(x * q for x in a))
-        if not any(a[1:]):
-            q = a[0]
-            return _make(self.order, tuple(x * q for x in b))
-        d, reduce_rows, _ = _tables(self.order)
-        conv = [_Q0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = conv[:d]
-        for k in range(2 * d - 2, d - 1, -1):
-            c = conv[k]
-            if c:
-                row = reduce_rows[k - d]
-                for i, r in enumerate(row):
-                    if r:
-                        out[i] += c * r
-        return _make(self.order, tuple(out))
+        if isinstance(other, Cyclotomic):
+            order = self.order
+            if order != other.order:
+                raise _mismatch(self, other)
+            a, b = self.num, other.num
+            den = self.den * other.den
+            if not any(b[1:]):
+                q = b[0]
+                return _norm(order, tuple(x * q for x in a), den)
+            if not any(a[1:]):
+                q = a[0]
+                return _norm(order, tuple(x * q for x in b), den)
+            return _norm(order, _mul_num(order, a, b), den)
+        if isinstance(other, (int, Rational)):
+            q = other.numerator
+            return _norm(self.order, tuple(x * q for x in self.num),
+                         self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        if not self:
-            raise ZeroDivisionError("inverse of zero cyclotomic")
-        a = self.coeffs
-        if not any(a[1:]):
-            return _make(self.order, (_Q1 / a[0],) + a[1:])
-        # Extended Euclid in Q[y] against Phi_n.
-        phi = [Rational(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [_Q0], [_Q1]
-        while any(r1):
-            q, r = _qpoly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _qpoly_sub(s0, _qpoly_mul(q, s1))
-        lead = next(c for c in reversed(r0) if c)
-        inv_coeffs = [c / lead for c in s0]
-        d = _tables(self.order)[0]
-        inv_coeffs = (inv_coeffs + [_Q0] * d)[:d]
-        return _make(self.order, tuple(inv_coeffs))
+        order, num, den = self.order, self.num, self.den
+        if not any(num[1:]):
+            p = num[0]
+            if not p:
+                raise ZeroDivisionError("inverse of zero cyclotomic")
+            if p < 0:
+                p, den = -p, -den
+            return _make(order, (den,) + num[1:], p)
+        # With a = A/den and c the product of sigma_k(A) over the Galois
+        # automorphisms sigma_k: w -> w^k, k != 1, A c is the norm of A, a
+        # nonzero integer, so 1/a = den c / N(A).
+        zpow = _tables(order)[2]
+        conj = None
+        for k in range(2, order):
+            if gcd(k, order) == 1:
+                s = _conjugate(num, k, zpow)
+                conj = s if conj is None else _mul_num(order, conj, s)
+        norm = _mul_num(order, num, conj)[0]
+        if norm < 0:
+            norm, den = -norm, -den
+        return _norm(order, tuple(den * c for c in conj), norm)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, type(_Q0))):
-            if other == 0:
+        if isinstance(other, Cyclotomic):
+            if self.order != other.order:
+                raise _mismatch(self, other)
+            return self * other.inverse()
+        if isinstance(other, (int, Rational)):
+            p, q = other.numerator, other.denominator
+            if not p:
                 raise ZeroDivisionError("division by zero")
-            q = _Q1 / Rational(other)
-            return _make(self.order, tuple(a * q for a in self.coeffs))
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        self._check(other)
-        return self * other.inverse()
+            if p < 0:
+                p, q = -p, -q
+            return _norm(self.order, tuple(x * q for x in self.num), self.den * p)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        other = _coerce(self.order, other)
+        other = self._operand(other)
         if other is None:
             return NotImplemented
         return other * self.inverse()
@@ -290,9 +315,10 @@ class Cyclotomic:
 
     def to_literal(self) -> str:
         """Canonical literal: descending powers of w, e.g. 'w^2 - 1/3'."""
+        coeffs = self.coeffs
         pieces = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if not c:
                 continue
             neg = c < 0
@@ -313,72 +339,72 @@ class Cyclotomic:
 
     def sort_key(self):
         """Total order on one field, used only for deterministic output."""
-        return tuple(self.coeffs)
+        return self.coeffs
 
 
 _set_order = Cyclotomic.order.__set__
-_set_coeffs = Cyclotomic.coeffs.__set__
+_set_num = Cyclotomic.num.__set__
+_set_den = Cyclotomic.den.__set__
 _set_hash = Cyclotomic._hash.__set__
 
 
-def _make(order: int, coeffs: tuple) -> Cyclotomic:
-    """Trusted constructor: coeffs is a tuple of field_degree(order) Rationals."""
+def _make(order: int, num: tuple, den: int) -> Cyclotomic:
+    """Trusted constructor: num is a tuple of field_degree(order) ints and
+    den > 0 shares no factor with all of them."""
     x = object.__new__(Cyclotomic)
     _set_order(x, order)
-    _set_coeffs(x, coeffs)
+    _set_num(x, num)
+    _set_den(x, den)
     return x
 
 
-def _const(order: int, q) -> Cyclotomic:
+def _norm(order: int, num: tuple, den: int) -> Cyclotomic:
+    """_make after dividing out the factor that den > 0 shares with num."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
+    return _make(order, num, den)
+
+
+def _mismatch(a: Cyclotomic, b: Cyclotomic) -> OrderMismatch:
+    return OrderMismatch(f"cannot combine orders {a.order} and {b.order}")
+
+
+def _const(order: int, p: int, q: int) -> Cyclotomic:
     d = _tables(order)[0]
-    return _make(order, (q,) + (_Q0,) * (d - 1))
+    return _make(order, (p,) + (0,) * (d - 1), q)
 
 
-def _coerce(order: int, value):
-    if isinstance(value, Cyclotomic):
-        return value
-    if isinstance(value, (int, type(_Q0))):
-        return _const(order, Rational(value))
-    return None
+def _mul_num(order: int, a: tuple, b: tuple) -> tuple:
+    """Integer coordinates of the product of two integer coordinate tuples:
+    the convolution, with its tail folded back through Phi_n."""
+    d, reduce_rows, _ = _tables(order)
+    conv = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    conv[i + j] += ai * bj
+    out = conv[:d]
+    for k in range(2 * d - 2, d - 1, -1):
+        c = conv[k]
+        if c:
+            row = reduce_rows[k - d]
+            for i, r in enumerate(row):
+                if r:
+                    out[i] += c * r
+    return tuple(out)
 
 
-# -- little rational-polynomial helpers for the extended Euclid ------------
-
-def _qpoly_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _qpoly_divmod(a, b):
-    a = _qpoly_trim(list(a))
-    b = _qpoly_trim(list(b))
-    q = [_Q0] * max(0, len(a) - len(b) + 1)
-    inv_lead = _Q1 / b[-1]
-    while len(a) >= len(b) and a:
-        c = a[-1] * inv_lead
-        k = len(a) - len(b)
-        q[k] = c
-        for i in range(len(b)):
-            a[k + i] -= c * b[i]
-        _qpoly_trim(a)
-    return q, a
-
-
-def _qpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_Q0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _qpoly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_Q0] * (n - len(a))
-    b = list(b) + [_Q0] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+def _conjugate(num: tuple, k: int, zpow) -> tuple:
+    """Integer coordinates of sigma_k(A) = sum_i A_i w^(ik)."""
+    n = len(zpow)
+    out = [0] * len(num)
+    for i, a in enumerate(num):
+        if a:
+            for j, z in enumerate(zpow[i * k % n]):
+                if z:
+                    out[j] += a * z
+    return tuple(out)

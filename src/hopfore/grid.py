@@ -30,7 +30,8 @@ def build_module(alg, label):
 def grid_labels(alg, nil_tmax=3, eig_tmax=2, betas=()):
     """Deterministic label grid: all Nil(t,i) with t <= nil_tmax and i in I,
     then all Eig(t,[j],beta) with t <= eig_tmax, [j] an orbit representative
-    and beta drawn from `betas` (nonzero scalars of the algebra's field)."""
+    and beta drawn from `betas` (nonzero scalars of the algebra's field).
+    A label listed twice, as by equal betas, is kept at its first place."""
     if nil_tmax < 0 or eig_tmax < 0:
         raise InvalidParameter("grid bounds must be nonnegative")
     betas = [alg.scalar(b) for b in betas]
@@ -46,7 +47,7 @@ def grid_labels(alg, nil_tmax=3, eig_tmax=2, betas=()):
         for rep_label in alg.orbit_reps:
             for b in betas:
                 labels.append(canonicalize(alg, EIG, t, rep_label, b))
-    return labels
+    return list(dict.fromkeys(labels))
 
 
 def check_pair(alg, left, right, cache=None):

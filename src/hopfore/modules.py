@@ -14,7 +14,9 @@ Group elements act through their generator words: the action of g is the
 product of the generator matrices along g's stored word.  A tensor product
 remembers its two factors, and since the coproduct of g is g (.) g, its
 action of g is the Kronecker product of the factors' actions of g, taken
-from their caches instead of multiplying out the word again.  validate()
+from their caches instead of multiplying out the word again.  The
+identity and the generators themselves act by the identity matrix and
+gen_actions, which every module holds from the start.  validate()
 still expands the words over the module's own generator matrices, so it
 checks those matrices against the group table independently of the
 Kronecker shortcut.
@@ -62,7 +64,14 @@ class ExplicitModule:
         # (m, n) when tensor(m, n) built this module, so that gen_actions are
         # the Kronecker products of theirs; None otherwise
         object.__setattr__(self, "factors", None)
-        object.__setattr__(self, "_element_cache", {})
+        # the identity and the generators need no word product or Kronecker
+        # product: their actions are the identity and gen_actions
+        group = alg.group
+        cache = {group.identity: Matrix.identity(alg.field_order, dim)}
+        for g, word in enumerate(group.words):
+            if len(word) == 1:
+                cache[g] = gen_actions[word[0]]
+        object.__setattr__(self, "_element_cache", cache)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExplicitModule is immutable")

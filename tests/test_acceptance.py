@@ -2,8 +2,9 @@
 independent matrix oracle, every ring identity against exact arithmetic.
 
 Each test here is one acceptance gate; together they cover the full label
-grid (both dihedral parameters), a seeded sample of the m = 7 grid, the full
-C_8 grid with the nontrivial eigenvalue twist, the power-basis
+grid (both dihedral parameters), two seeded samples of the m = 7 grid, a
+seeded sample of the m = 3 grid with long strings, the full C_8 grid with
+the nontrivial eigenvalue twist, the power-basis
 combinatorics, the ring
 presentations, the structural invariants of the indecomposables, ring
 homomorphism compatibility, the one genuinely ambiguous index range in the
@@ -55,6 +56,31 @@ def test_differential_fusion_grid_m7_sample(alg7):
     cache = {}
     mismatches = [rec for rec in (check_pair(alg7, l, r, cache) for l, r in pairs)
                   if rec is not None]
+    assert mismatches == [], mismatches[:3]
+
+
+def _sample_mismatches(alg, labels, count, seed):
+    rng = random.Random(seed)
+    pairs = rng.sample([(l, r) for l in labels for r in labels], count)
+    cache = {}
+    return [rec for rec in (check_pair(alg, l, r, cache) for l, r in pairs)
+            if rec is not None]
+
+
+def test_differential_fusion_grid_m7_wide_sample(alg7):
+    """A second, wider seeded sample: 300 ordered pairs of the m = 7
+    acceptance grid."""
+    mismatches = _sample_mismatches(alg7, grid_labels(alg7, 3, 2, BETAS), 300,
+                                    20261019)
+    assert mismatches == [], mismatches[:3]
+
+
+def test_differential_fusion_grid_m3_long_strings(alg3):
+    """Closed rules equal the matrix oracle on 300 seeded ordered pairs of
+    the m = 3 grid with long strings: Nil t up to 2s + 2 = 6, Eig t up to 3."""
+    labels = grid_labels(alg3, 2 * alg3.s + 2, 3, BETAS)
+    assert max(lab.t for lab in labels) == 6
+    mismatches = _sample_mismatches(alg3, labels, 300, 20261020)
     assert mismatches == [], mismatches[:3]
 
 

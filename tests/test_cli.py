@@ -139,6 +139,18 @@ def test_verify_fusion_json(capsys):
     assert data["pairs"] == data["labels"] ** 2
 
 
+def test_verify_fusion_repeated_betas_counted_once(capsys):
+    # Equal betas name one Eig label; listing it twice must not re-check
+    # its pairs or count them twice.
+    for betas in ("1,1", "2,4/2"):
+        code, out, _ = run(capsys, ["verify", "fusion", "--m", "3", "--tmax", "1",
+                                    "--betas", betas])
+        assert code == 0
+        lines = dict(l.split("\t") for l in out.strip().splitlines())
+        assert (betas, lines["labels"], lines["pairs"]) == (betas, "9", "81")
+        assert lines["ok"] == "true"
+
+
 def test_verify_presentation(capsys):
     code, out, _ = run(capsys, ["verify", "presentation", "--m", "3",
                                 "--betas", "1,-1,2", "--tmax", "4"])

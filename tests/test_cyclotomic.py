@@ -132,3 +132,129 @@ def test_public_constructor_validates():
     assert x.coeffs == (Rational(1), Rational(1, 2))
     with pytest.raises(AttributeError):
         x.order = 5
+
+
+# -- elements with denominators ---------------------------------------------
+
+_RATIONAL_ORDERS = (6, 8, 10, 14)
+
+
+def _rational_scalars(order):
+    coeff = st.builds(Rational, st.integers(min_value=-9, max_value=9),
+                      st.integers(min_value=1, max_value=12))
+    deg = field_degree(order)
+    return st.lists(coeff, min_size=deg, max_size=deg).map(
+        lambda cs: Cyclotomic(order, cs))
+
+
+def _reference_product(order, a, b):
+    """Schoolbook product of Rational coordinates, reduced modulo Phi_n."""
+    phi = cyclotomic_polynomial(order)
+    d = len(phi) - 1
+    prod = [Rational(0)] * (2 * d - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = prod[k]
+        for i, p in enumerate(phi):
+            prod[k - d + i] -= c * p
+    return tuple(prod[:d])
+
+
+def _assert_canonical(x):
+    from math import gcd
+
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    assert all(type(a) is int for a in x.num)
+    if not x:
+        assert x.den == 1
+
+
+@pytest.mark.parametrize("order", _RATIONAL_ORDERS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_field_axioms_with_denominators(order, data):
+    a, b, c = (data.draw(_rational_scalars(order)) for _ in range(3))
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert a - a == Cyclotomic.zero(order)
+    assert a * (b + c) == a * b + a * c
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    if b:
+        assert (a / b) * b == a
+
+
+@pytest.mark.parametrize("order", _RATIONAL_ORDERS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_product_matches_reference(order, data):
+    a = data.draw(_rational_scalars(order))
+    b = data.draw(_rational_scalars(order))
+    assert (a * b).coeffs == _reference_product(order, a, b)
+
+
+@pytest.mark.parametrize("order", _RATIONAL_ORDERS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_results_are_canonical(order, data):
+    a = data.draw(_rational_scalars(order))
+    b = data.draw(_rational_scalars(order))
+    q = data.draw(st.sampled_from([0, 3, -2, Rational(-4, 9), Rational(6, 5)]))
+    results = [a, b, a + b, a - b, a - a, -a, a * b, a * q, a + q, a * 0]
+    if b:
+        results += [a / b, b.inverse()]
+    if q:
+        results.append(a / q)
+    for x in results:
+        _assert_canonical(x)
+        assert Cyclotomic(order, x.coeffs) == x
+
+
+@pytest.mark.parametrize("order", (6, 12))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_literal_round_trip_with_denominators(order, data):
+    from hopfore.syntax import parse_cyclotomic
+
+    a = data.draw(_rational_scalars(order))
+    assert parse_cyclotomic(order, a.to_literal()) == a
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_rational_scalars(10), b=_rational_scalars(10))
+def test_sort_key_with_denominators(a, b):
+    assert (a.sort_key() == b.sort_key()) == (a == b)
+    assert a.sort_key() == a.coeffs
+
+
+@pytest.mark.parametrize("order", (1, 2, 4, 5, 6, 8, 10, 12, 14))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_irrational_inverse(order, data):
+    x = data.draw(_rational_scalars(order).filter(
+        # Q(zeta_1) = Q(zeta_2) = Q: there every nonzero element counts
+        lambda v: v and (field_degree(order) == 1 or v.rational_value() is None)))
+    one = Cyclotomic.one(order)
+    inv = x.inverse()
+    _assert_canonical(inv)
+    assert x * inv == one
+    assert inv * x == one
+    assert inv.inverse() == x
+
+
+def test_equality_against_int_and_fraction():
+    for order in (1, 6, 10):
+        assert Cyclotomic.rational(order, 3) == 3
+        assert Cyclotomic.rational(order, 3) == Rational(3)
+        assert Cyclotomic.rational(order, Rational(-5, 4)) == Rational(-5, 4)
+        assert Cyclotomic.rational(order, Rational(-5, 4)) != Rational(5, 4)
+        assert Cyclotomic.rational(order, Rational(1, 2)) != 1
+        assert Cyclotomic.zero(order) == 0
+        assert Rational(7, 3) == Cyclotomic.rational(order, Rational(7, 3))
+        assert 0 == Cyclotomic.zero(order)
+    z = Cyclotomic.zeta(6)
+    assert z != 1 and z + 1 != 2 and z != Rational(1, 2)
+    assert Cyclotomic(6, (Rational(1, 2), 1)) != Rational(1, 2)

@@ -181,3 +181,17 @@ def test_validate_checks_tensor_generators(alg3):
     bad = ExplicitModule(alg3, bad_gen, good.x_action, good.provenance)
     report = validate(tensor(bad, module_nilpotent(alg3, 2, 1)))
     assert any(line.startswith("group-relation") for line in report)
+
+
+def test_generator_actions_are_not_rebuilt(alg5):
+    from hopfore.groups import expand_words
+
+    prod = tensor(module_eigen(alg5, 1, 1, 2), module_nilpotent(alg5, 2, "chi"))
+    group = alg5.group
+    words = expand_words(group, prod.gen_actions, alg5.field_order, prod.dim)
+    assert prod.element_action(group.identity) == Matrix.identity(
+        alg5.field_order, prod.dim)
+    for k, gen in enumerate(group.generators):
+        assert group.words[gen] == (k,)
+        assert prod.element_action(gen) is prod.gen_actions[k]
+        assert prod.element_action(gen) == words[gen]
