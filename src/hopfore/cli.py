@@ -246,8 +246,11 @@ def cmd_module_export(args):
     if args.out == "-":
         print(text)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise InvalidParameter(f"cannot write {args.out}: {e}") from e
         print(f"wrote {format_label(label)} (dim {mod.dim}) to {args.out}")
     return 0
 

@@ -2,24 +2,39 @@
 
 The algorithm follows the structure theory.  x^s is central, so the module
 splits into generalized eigenspaces of X = x^s; the candidate eigenvalues
-come from the module's provenance (plus 0 and any caller extras), and a
-dimension count certifies the pool caught everything.  On the eigenvalue-0
-part the operator N = x is nilpotent; on the others N = X - beta is.  In
-both cases the subspaces K_j = ker(N) intersect im(N^j) are modules over
-the group, and their isotypic multiplicities count strings:
+come from the module's provenance (plus 0 and any caller extras).  For a
+candidate c let N = x when c = 0 and N = X - c otherwise.  The subspaces
+K_j = ker(N) intersect im(N^j) are modules over the group, and their
+isotypic multiplicities count the strings of eigenvalue c:
 
   multiplicity of Nil(t, i)        = mu_{t-1}(sigma^{t-1}(i)) - mu_t(sigma^{t-1}(i))
   multiplicity of Eig(r, [i], b)   = mu_{r-1}(rep) - mu_r(rep)
 
-where mu_j(c) is the multiplicity of the simple c inside K_j.  A final
-cross-check recomputes the group-level isotypic decomposition from the
-labels and compares it against the module itself.
+where mu_j(c) is the multiplicity of the simple c inside K_j.
+
+The K_j are never built; their characters come from the image chain
+I_0 = the whole module, I_{j+1} = N(I_j) (each a reduced row echelon
+basis from sp_rref), which falls until N is invertible on I_j.  N maps
+I_j onto I_{j+1} with kernel K_j, and it twists the group action:
+x g = chi^{-1}(g) g x, while X commutes with the group.  So at every
+group element g
+
+  trace(g | K_j) = trace(g | I_j) - twist(g) * trace(g | I_{j+1}),
+
+with twist = chi^{-1} for c = 0 and twist = 1 otherwise, and the
+multiplicities of K_j follow from traces on the image chain alone.  By
+Fitting's lemma the module is the generalized eigenspace of c plus the
+last image, so dim - dim I_last is that eigenspace's dimension.  The
+dimensions over the pool must add up to the module's: otherwise some
+eigenvalue is missing and CandidatePoolIncomplete reports by how much.
+A final cross-check recomputes the group-level isotypic decomposition
+from the labels and compares it against the module itself.
 
 Multiplicities come from characters, which are class functions, so group
-actions, their restrictions and their traces are taken at one
-representative per conjugacy class (GroupData.classes) and weighted by
-AlgebraData.class_weights.  That is only valid for representations: the
-input module must be one, which validate() checks.
+actions and their traces are taken at one representative per conjugacy
+class (GroupData.classes) and weighted by AlgebraData.class_weights.
+That is only valid for representations: the input module must be one,
+which validate() checks.
 """
 
 from __future__ import annotations
@@ -35,18 +50,8 @@ from .errors import (
     NotFusionReady,
 )
 from .groups import AlgebraData
-from .labels import IndecLabel, NIL, EIG, label_dim, multiset_dim, sorted_items
-from .linalg import (
-    sp_apply_basis,
-    sp_column_echelon,
-    sp_intersect,
-    sp_kernel,
-    sp_matmul,
-    sp_preimage,
-    sp_restrict,
-    sp_scalar_shift,
-    sp_trace_restrict,
-)
+from .labels import IndecLabel, NIL, EIG, multiset_dim, sorted_items
+from .linalg import sp_matmul, sp_rref, sp_scalar_shift, sp_trace_restrict
 from .modules import ExplicitModule
 
 
@@ -114,7 +119,6 @@ def decompose(m: ExplicitModule, extra_candidates=()) -> DecompResult:
     alg = m.alg
     if not alg.fusion_ready:
         raise NotFusionReady("decomposition needs |q| = |chi|")
-    order = alg.field_order
     dim = m.dim
     if dim == 0:
         return DecompResult((), 0, ())
@@ -127,48 +131,25 @@ def decompose(m: ExplicitModule, extra_candidates=()) -> DecompResult:
     pool = {alg.zero()} | set(m.provenance) | {alg.scalar(v) for v in extra_candidates}
     pool = sorted(pool, key=lambda v: v.sort_key())
 
-    spaces = []  # (eigenvalue, echelon basis of the generalized eigenspace)
+    element_rows = [m.element_action(g).rows for g, _ in alg.group.classes]
+
+    labels: Counter = Counter()
+    eigenvalues = []
     covered = 0
     for c in pool:
-        shifted = sp_scalar_shift(big_x, dim, c)
-        basis = sp_kernel(order, shifted, dim)
-        if not basis[0]:
-            continue
-        while True:
-            bigger = sp_preimage(order, shifted, basis, dim)
-            if len(bigger[0]) == len(basis[0]):
-                break
-            basis = bigger
-        spaces.append((c, basis))
-        covered += len(basis[0])
+        nil_op = sp_scalar_shift(big_x, dim, c) if c else x_rows
+        found = _count_strings(alg, labels, c, nil_op, element_rows, dim)
+        if found and c:
+            eigenvalues.append(c)
+        covered += found
 
     if covered != dim:
         raise CandidatePoolIncomplete(
             f"candidate eigenvalues cover {covered} of {dim} dimensions; "
             "pass the missing eigenvalues of x^s as extra_candidates")
 
-    element_rows = [m.element_action(g).rows for g, _ in alg.group.classes]
-
-    labels: Counter = Counter()
-    eigenvalues = []
-    for c, basis in spaces:
-        if c:
-            eigenvalues.append(c)
-        w = len(basis[0])
-        if w == dim:
-            # the whole module is one generalized eigenspace
-            rows_w = element_rows
-            nil_op = x_rows if not c else sp_scalar_shift(big_x, dim, c)
-        else:
-            rows_w = [sp_restrict(rows, basis) for rows in element_rows]
-            inner = sp_restrict(x_rows if not c else sp_scalar_shift(big_x, dim, c),
-                                basis)
-            nil_op = inner
-        _count_strings(alg, labels, c, nil_op, rows_w, w)
-
     check = Counter()
     for lab, mult in labels.items():
-        d = alg.simple_by_label[lab.i].dim
         if lab.kind == NIL:
             for j in range(lab.t):
                 check[alg.sigma_power(lab.i, j)] += mult
@@ -188,25 +169,36 @@ def decompose(m: ExplicitModule, extra_candidates=()) -> DecompResult:
     return DecompResult(tuple(sorted_items(alg, labels)), dim, tuple(eigenvalues))
 
 
-def _count_strings(alg: AlgebraData, labels: Counter, c, nil_op, rows_w, w: int):
-    """Count indecomposable strings inside one generalized eigenspace."""
+def _count_strings(alg: AlgebraData, labels: Counter, c, nil_op, element_rows,
+                   dim: int) -> int:
+    """Count the strings of eigenvalue c from the image chain of nil_op;
+    returns the dimension of the generalized eigenspace of c."""
     order = alg.field_order
-    ker = sp_kernel(order, nil_op, w)
-    if not ker[0]:
-        raise InternalInconsistency("nilpotent part with empty kernel")
+    classes = alg.group.classes
+    if c:
+        twists = [alg.one()] * len(classes)
+    else:
+        # x g = chi^{-1}(g) g x
+        twists = [alg.chi[alg.group.inverse[g]] for g, _ in classes]
 
-    # K_j = ker(N) intersect im(N^j), j = 0, 1, ... until empty.
+    # N's columns; a basis (as rows) times them is N applied to each vector
+    columns = [{} for _ in range(dim)]
+    for i, row in enumerate(nil_op):
+        for k, v in row.items():
+            columns[k][i] = v
+    below = sp_rref(columns, dim)
+    if len(below[0]) == dim:
+        return 0  # N is invertible: c is not an eigenvalue of x^s
+    one = alg.one()
+    image = ([{i: one} for i in range(dim)], list(range(dim)))
+    traces = [sp_trace_restrict(order, rows, image) for rows in element_rows]
     mus = []  # mus[j] = isotypic multiplicities inside K_j
-    image = ([{i: alg.one()} for i in range(w)], list(range(w)))
-    k_space = ker
-    j = 0
-    while k_space[0]:
-        mus.append(_space_isotypic(alg, rows_w, k_space))
-        image = sp_column_echelon(sp_apply_basis(nil_op, image[0]), w)
-        k_space = sp_intersect(order, ker, image, w)
-        j += 1
-        if j > w:
-            raise InternalInconsistency("string counting failed to terminate")
+    while len(below[0]) < len(image[0]):
+        below_traces = [sp_trace_restrict(order, rows, below) for rows in element_rows]
+        mus.append(_isotypic_from_traces(alg, [
+            t - w * u for t, w, u in zip(traces, twists, below_traces)]))
+        image, traces = below, below_traces
+        below = sp_rref(sp_matmul(image[0], columns), dim)
     mus.append({})
 
     if not c:
@@ -233,9 +225,4 @@ def _count_strings(alg: AlgebraData, labels: Counter, c, nil_op, rows_w, w: int)
                         f"negative multiplicity for Eig({r}, {rep!r})")
                 if mult:
                     labels[IndecLabel(EIG, r, rep, c)] += mult
-
-
-def _space_isotypic(alg: AlgebraData, rows_w, space) -> dict:
-    # rows_w holds the actions of the class representatives.
-    traces = [sp_trace_restrict(alg.field_order, rows, space) for rows in rows_w]
-    return _isotypic_from_traces(alg, traces)
+    return dim - len(image[0])

@@ -32,7 +32,7 @@ from .labels import (
     canonicalize,
     label_sort_key,
 )
-from .linalg import sp_determinant, sp_rref
+from .linalg import sp_rref
 from .syntax import BinNode, IntNode, LabelNode, NegNode, PowNode, format_label
 
 GREEN = "green"
@@ -359,8 +359,8 @@ def groth_to_x_basis(a: RingElement) -> Poly:
     for lab, c in a.coeffs.items():
         if lab.kind != TORSION:
             raise UnsupportedLabel(
-                f"{lab} is not a group simple; the power basis covers only "
-                "the group-ring part")
+                f"{_term_text(a.alg, lab)} is not a group simple; the power "
+                "basis covers only the group-ring part")
         out += simple_to_x(a.alg, lab.i).scale(c)
     return out
 
@@ -453,8 +453,8 @@ def groth_to_x2_basis(a: RingElement):
     for lab in a.coeffs:
         if lab.kind != TORSION:
             raise UnsupportedLabel(
-                f"{lab} is not a group simple; the halved basis covers only "
-                "the group-ring part")
+                f"{_term_text(a.alg, lab)} is not a group simple; the halved "
+                "basis covers only the group-ring part")
     basis = x2_basis_elements(a.alg)
     # Row-reduce [basis columns | target] over Q: one row per label.
     n = len(basis)
@@ -496,14 +496,25 @@ def format_basis_coords(pairs) -> str:
 # -- presentation verification ---------------------------------------------------
 
 def _unimodular(rows) -> bool:
-    # rows: list of integer dicts keyed by arbitrary hashable basis labels
+    """det = +-1 for a square integer matrix.
+
+    rows: integer dicts keyed by arbitrary hashable basis labels.  An
+    integer matrix has det +-1 exactly when it is invertible and its
+    inverse is integral, so [M | I] is reduced and the right half read off.
+    """
     keys = sorted({k for row in rows for k in row}, key=str)
-    if len(keys) != len(rows):
+    n = len(keys)
+    if n != len(rows):
         return False
     idx = {k: j for j, k in enumerate(keys)}
-    det = sp_determinant(1, [{idx[k]: Cyclotomic.rational(1, v)
-                              for k, v in row.items() if v} for row in rows], len(keys))
-    return det == 1 or det == -1
+    one = Cyclotomic.one(1)
+    augmented = [{idx[k]: Cyclotomic.rational(1, v) for k, v in row.items() if v}
+                 | {n + r: one} for r, row in enumerate(rows)]
+    reduced, pivots = sp_rref(augmented, 2 * n)
+    if pivots != list(range(n)):
+        return False
+    return all(v.rational_value().denominator == 1
+               for row in reduced for v in row.values())
 
 
 def _green_char(alg, name):

@@ -4,10 +4,14 @@ A matrix is stored as its rows, each a dict {column: nonzero entry}; zero
 entries are never stored, so the structured matrices that show up here
 (monomial group actions, stratum shifts, their Kronecker products) stay
 cheap.  Matrix is the immutable, shape-checked type that modules and
-algebras hold; the sp_* routines below work on bare row (or column) dict
-lists, and `Matrix.rows` can be passed to them as it is.  Everything is
-fraction-exact; pivoting always takes the first row with a nonzero entry
-in the current column, so reduced forms, kernels and images are canonical.
+algebras hold; the sp_* routines below work on bare row dict lists, and
+`Matrix.rows` can be passed to them as it is.
+
+sp_rref is the one elimination routine.  Ranks, the image chains that
+decompose walks, the coordinates of the halved basis and the
+unimodularity test of the Green ring all reduce through it.  Everything
+is fraction-exact, and pivoting always takes the first row with a
+nonzero entry in the current column, so reduced forms are canonical.
 """
 
 from __future__ import annotations
@@ -186,9 +190,10 @@ def _entry(order: int, e) -> Cyclotomic:
 
 # -- sparse routines --------------------------------------------------------
 #
-# Operators are lists of row dicts {col: entry}; bases are lists of column
-# dicts {row: entry} together with their pivot rows.  All loops are ordered,
-# so results are canonical.  Inputs are never mutated.
+# Operators are lists of row dicts {col: entry}.  A subspace is what sp_rref
+# returns: the reduced echelon rows that span it, as vectors {index: entry},
+# and their pivot indices.  All loops are ordered, so results are canonical.
+# Inputs are never mutated.
 
 
 def _sp_row_submul(target: dict, factor, source: dict):
@@ -249,69 +254,6 @@ def sp_rref(rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
     return pivot_rows, pivots
 
 
-def sp_kernel(order: int, rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
-    """Canonical kernel basis as columns; pivot rows are the free columns."""
-    pivot_rows, pivots = sp_rref(rows, ncols)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    one = Cyclotomic.one(order)
-    cols = []
-    for f in free:
-        col = {f: one}
-        for prow, p in zip(pivot_rows, pivots):
-            v = prow.get(f)
-            if v:
-                col[p] = -v
-        cols.append(col)
-    return cols, free
-
-
-def sp_column_echelon(cols: list[dict], nrows: int) -> tuple[list[dict], list[int]]:
-    """Reduced column echelon basis of the span of the given columns."""
-    basis: list[dict] = []   # kept in pivot-row order
-    pivots: list[int] = []
-    for col in cols:
-        col = dict(col)
-        for b, p in zip(basis, pivots):
-            f = col.get(p)
-            if f:
-                _sp_row_submul(col, f, b)
-        if not col:
-            continue
-        lead = min(col)
-        inv = col[lead].inverse()
-        col = {i: v * inv for i, v in col.items()}
-        for b in basis:
-            f = b.get(lead)
-            if f:
-                _sp_row_submul(b, f, col)
-        # insert keeping pivot rows ascending
-        at = 0
-        while at < len(pivots) and pivots[at] < lead:
-            at += 1
-        basis.insert(at, col)
-        pivots.insert(at, lead)
-    return basis, pivots
-
-
-def sp_apply(rows: list[dict], col: dict) -> dict:
-    """Matrix (dict rows) times column (dict)."""
-    out = {}
-    for i, row in enumerate(rows):
-        acc = None
-        for k, v in row.items():
-            c = col.get(k)
-            if c is not None:
-                acc = v * c if acc is None else acc + v * c
-        if acc is not None and acc:
-            out[i] = acc
-    return out
-
-
-def sp_apply_basis(rows: list[dict], cols: list[dict]) -> list[dict]:
-    return [sp_apply(rows, c) for c in cols]
-
-
 def sp_scalar_shift(rows: list[dict], n: int, value) -> list[dict]:
     """rows - value * I as fresh dicts."""
     out = [dict(r) for r in rows]
@@ -328,6 +270,7 @@ def sp_scalar_shift(rows: list[dict], n: int, value) -> list[dict]:
 
 
 def sp_matmul(a: list[dict], b: list[dict]) -> list[dict]:
+    """a @ b on dict rows."""
     out = []
     for arow in a:
         acc: dict = {}
@@ -343,85 +286,17 @@ def sp_matmul(a: list[dict], b: list[dict]) -> list[dict]:
     return out
 
 
-def sp_intersect(order: int,
-                 a: tuple[list[dict], list[int]],
-                 b: tuple[list[dict], list[int]],
-                 nrows: int) -> tuple[list[dict], list[int]]:
-    """Intersection of two column spans, as a reduced column echelon basis."""
-    acols, _ = a
-    bcols, _ = b
-    if not acols or not bcols:
-        return [], []
-    # Rows of the stacked relation matrix [A | -B], indexed by ambient row.
-    stacked: list[dict] = [{} for _ in range(nrows)]
-    for j, col in enumerate(acols):
-        for i, v in col.items():
-            stacked[i][j] = v
-    off = len(acols)
-    for j, col in enumerate(bcols):
-        for i, v in col.items():
-            stacked[i][off + j] = -v
-    null_cols, _ = sp_kernel(order, stacked, off + len(bcols))
-    out = []
-    for nc in null_cols:
-        vec: dict = {}
-        for j, coeff in nc.items():
-            if j < off:
-                for i, v in acols[j].items():
-                    cur = vec.get(i)
-                    cur = coeff * v if cur is None else cur + coeff * v
-                    if cur:
-                        vec[i] = cur
-                    elif i in vec:
-                        del vec[i]
-        if vec:
-            out.append(vec)
-    return sp_column_echelon(out, nrows)
-
-
-def sp_preimage(order: int, rows: list[dict], basis: tuple[list[dict], list[int]],
-                n: int) -> tuple[list[dict], list[int]]:
-    """{v : A v in span(basis)} for a square operator A given as dict rows."""
-    bcols, _ = basis
-    stacked: list[dict] = [dict(r) for r in rows]
-    while len(stacked) < n:
-        stacked.append({})
-    off = n
-    for j, col in enumerate(bcols):
-        for i, v in col.items():
-            stacked[i][off + j] = -v
-    null_cols, _ = sp_kernel(order, stacked, off + len(bcols))
-    tops = []
-    for nc in null_cols:
-        vec = {i: v for i, v in nc.items() if i < off}
-        if vec:
-            tops.append(vec)
-    return sp_column_echelon(tops, n)
-
-
-def sp_restrict(rows: list[dict], basis: tuple[list[dict], list[int]]) -> list[dict]:
-    """Operator restricted to an invariant subspace, in basis coordinates.
-
-    basis must be reduced column echelon, so coordinates of A*B are read off
-    at the pivot rows.  Invariance is the caller's responsibility.
-    """
-    bcols, pivots = basis
-    image = sp_apply_basis(rows, bcols)
-    out: list[dict] = [{} for _ in pivots]
-    for j, img in enumerate(image):
-        for i, p in enumerate(pivots):
-            v = img.get(p)
-            if v is not None and v:
-                out[i][j] = v
-    return out
-
-
 def sp_trace_restrict(order: int, rows: list[dict],
                       basis: tuple[list[dict], list[int]]) -> Cyclotomic:
-    """Trace of an operator restricted to an invariant echelon subspace."""
-    bcols, pivots = basis
+    """Trace of an operator on an invariant subspace given as sp_rref gives it.
+
+    The coordinate of A b_k along b_l is entry p_l of A b_k, since the
+    basis is reduced at its pivots p_l, so the trace is the sum over k of
+    row p_k of A times b_k.  Invariance is the caller's responsibility.
+    """
+    vecs, pivots = basis
     acc = Cyclotomic.zero(order)
-    for col, p in zip(bcols, pivots):
+    for col, p in zip(vecs, pivots):
         row = rows[p] if p < len(rows) else None
         if not row:
             continue
@@ -430,32 +305,3 @@ def sp_trace_restrict(order: int, rows: list[dict],
             if c is not None:
                 acc = acc + v * c
     return acc
-
-
-def sp_determinant(order: int, rows: list[dict], n: int) -> Cyclotomic:
-    """Determinant by elimination; first-nonzero pivoting with sign tracking."""
-    work = [dict(r) for r in rows]
-    while len(work) < n:
-        work.append({})
-    remaining = list(range(n))
-    det = Cyclotomic.one(order)
-    for col in range(n):
-        hit = None
-        for pos, ridx in enumerate(remaining):
-            if col in work[ridx]:
-                hit = pos
-                break
-        if hit is None:
-            return Cyclotomic.zero(order)
-        if hit & 1:
-            det = -det
-        ridx = remaining.pop(hit)
-        piv = work[ridx][col]
-        det = det * piv
-        inv = piv.inverse()
-        row = {j: v * inv for j, v in work[ridx].items()}
-        for other in remaining:
-            f = work[other].get(col)
-            if f:
-                _sp_row_submul(work[other], f, row)
-    return det

@@ -105,6 +105,16 @@ def test_ring_mul_green_power_basis_rejected(capsys):
     assert "groth" in err
 
 
+def test_ring_mul_power_basis_names_the_label(capsys):
+    # a non-group label is named by its text, for both power bases
+    for basis, which in (("x1", "power"), ("x2", "halved")):
+        code, out, err = run(capsys, ["ring", "mul", "--ring", "groth",
+                                      "--expr", "V[1](eps;1)", "--basis", basis])
+        assert code == 2 and out == ""
+        assert err == (f"error: V[1](eps;1) is not a group simple; the {which} "
+                       "basis covers only the group-ring part\n")
+
+
 def test_ring_mul_bad_expr(capsys):
     code, _, err = run(capsys, ["ring", "mul", "--ring", "green",
                                 "--expr", "x + "])
@@ -191,6 +201,16 @@ def test_module_export_stdout(capsys):
                                 "--out", "-"])
     assert code == 0
     assert json.loads(out)["dim"] == 2
+
+
+def test_module_export_unwritable_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "mod.json"
+    code, out, err = run(capsys, ["module", "export", "--label", "y",
+                                  "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+    assert not target.exists()
 
 
 def test_custom_algebra_file(tmp_path, capsys, c4):

@@ -64,6 +64,22 @@ def test_round_trip_custom(c4, c8):
         assert decompose(module_nilpotent(alg, 5, "c2")).counter() == {nil: 1}
 
 
+def test_twist_direction_c8(c8):
+    # chi = zeta_8^2 has order s = 4, so chi != chi^{-1}: the string count
+    # on the image chain of x must twist by chi^{-1}, as x g = chi^{-1}(g) g x
+    gen = c8.group.generators[0]
+    assert c8.s == 4 and c8.chi[gen] != c8.chi[c8.group.inverse[gen]]
+    total = direct_sum(direct_sum(module_nilpotent(c8, 5, "c1"),
+                                  module_nilpotent(c8, 2, "c2")),
+                       module_eigen(c8, 2, "c3", 3))
+    got = decompose(total)
+    assert got.counter() == {IndecLabel(NIL, 5, "c1"): 1,
+                             IndecLabel(NIL, 2, "c2"): 1,
+                             IndecLabel(EIG, 2, "c1", c8.scalar(3)): 1}
+    assert got.eigenvalues_found == (c8.scalar(3),)
+    assert got.total_dim == 5 + 2 + 2 * 4
+
+
 def test_zero_module(alg3):
     res = decompose(zero_module(alg3))
     assert res.counter() == {}

@@ -10,7 +10,7 @@ from hopfore.greenring import (
     GREEN, GROTH, Poly, RingElement, binomial_power_decomposition, eval_expr,
     f_poly, format_basis_coords, format_element, g_poly, green_basis,
     groth_basis, groth_to_x2_basis, groth_to_x_basis, ring_mul, simple_to_x,
-    to_groth, unit, verify_presentation, x_basis_to_groth,
+    to_groth, unit, verify_presentation, x_basis_to_groth, _unimodular,
 )
 from hopfore.labels import (
     EIG, NIL, TORSION, IndecLabel, SimpleLabel, canonicalize,
@@ -175,3 +175,13 @@ def test_green_commutative_and_groth_compatible(alg3, a, b):
     prod = ea * eb
     assert prod == eb * ea
     assert to_groth(prod) == to_groth(ea) * to_groth(eb)
+
+
+def test_unimodular_known():
+    assert _unimodular([{"a": 2, "b": 3}, {"a": 1, "b": 2}])          # det +1
+    assert _unimodular([{"a": 1, "b": 2}, {"a": 3, "b": 5}])          # det -1
+    assert _unimodular([{1: 0, 2: 1}, {1: 1}, {3: 1}])                # a swap: det -1
+    assert not _unimodular([{"a": 1, "b": 2}, {"a": 3, "b": 4}])      # det -2
+    assert not _unimodular([{"a": 1, "b": 2}, {"a": 2, "b": 4}])      # singular
+    assert not _unimodular([{"a": 1}, {"b": 1}, {"a": 1, "b": 1}])    # 3 rows, 2 keys
+    assert not _unimodular([{"a": 2}])

@@ -9,11 +9,32 @@ from hypothesis import strategies as st
 from hopfore.cyclotomic import Cyclotomic
 from hopfore.errors import ShapeMismatch
 from hopfore.groups import algebra_from_descriptor, custom_algebra
-from hopfore.linalg import Matrix, sp_apply, sp_determinant, sp_kernel, sp_rref
+from hopfore.linalg import Matrix, sp_rref
 
 
 def M(order, rows):
     return Matrix(order, rows)
+
+
+def _transpose(rows, ncols):
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols
+
+
+def _free_column_kernel(order, reduced, pivots, ncols):
+    # one kernel vector per free column, read off the reduced rows
+    zero = Cyclotomic.zero(order)
+    out = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        vec = [zero] * ncols
+        vec[f] = Cyclotomic.one(order)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row.get(f, zero)
+        out.append(Matrix(order, [[v] for v in vec]))
+    return out
 
 
 def test_identity_and_scalar():
@@ -42,9 +63,14 @@ def test_shape_mismatch():
 def test_rank_and_kernel():
     a = M(1, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert a.rank() == 2
-    cols, free = sp_kernel(1, a.rows, a.ncols)
-    assert free == [2]
-    assert [sp_apply(a.rows, c) for c in cols] == [{}]
+    reduced, pivots = sp_rref(a.rows, a.ncols)
+    one = Cyclotomic.one(1)
+    assert pivots == [0, 1]
+    assert reduced == [{0: one, 2: one}, {1: one, 2: one}]
+    # the free column 2 gives the kernel vector (-1, -1, 1)
+    kernel = _free_column_kernel(1, reduced, pivots, a.ncols)
+    assert kernel == [M(1, [[-1], [-1], [1]])]
+    assert (a @ kernel[0]).is_zero()
 
 
 def test_tensor_product_shape_and_values():
@@ -104,17 +130,10 @@ def test_sparse_matches_dense():
     assert Matrix.from_rows(1, a.rows, 3) == a
     _, pivots = sp_rref(a.rows, 3)
     assert len(pivots) == a.rank() == 2
-    kernel_cols, _ = sp_kernel(1, a.rows, 3)
-    assert len(kernel_cols) == 3 - a.rank()
+    # row rank equals column rank
+    assert len(sp_rref(_transpose(a.rows, 3), 3)[1]) == a.rank()
     # the routines leave their inputs alone
     assert a == M(1, [[1, 0, 3], [0, 0, 0], [0, 1, 0]])
-
-
-def test_sp_determinant_known():
-    a = M(1, [[1, 2], [3, 4]])
-    assert sp_determinant(1, a.rows, 2) == Cyclotomic.rational(1, -2)
-    b = M(1, [[1, 2], [2, 4]])
-    assert sp_determinant(1, b.rows, 2) == Cyclotomic.zero(1)
 
 
 _small = st.integers(min_value=-3, max_value=3)
@@ -124,6 +143,12 @@ _small = st.integers(min_value=-3, max_value=3)
 @given(rows=st.lists(st.lists(_small, min_size=3, max_size=3), min_size=2, max_size=4))
 def test_rank_nullity(rows):
     a = M(1, rows)
-    cols, _ = sp_kernel(1, a.rows, a.ncols)
-    assert a.rank() + len(cols) == a.ncols
-    assert all(sp_apply(a.rows, c) == {} for c in cols)
+    reduced, pivots = sp_rref(a.rows, a.ncols)
+    # row rank equals column rank
+    assert len(sp_rref(_transpose(a.rows, a.ncols), a.nrows)[1]) == len(pivots)
+    # the reduced rows span the row space: adding them changes nothing
+    assert sp_rref(list(a.rows) + reduced, a.ncols) == (reduced, pivots)
+    # each free column gives a kernel vector, so rank + nullity = ncols
+    kernel = _free_column_kernel(1, reduced, pivots, a.ncols)
+    assert a.rank() + len(kernel) == a.ncols
+    assert all((a @ k).is_zero() for k in kernel)
