@@ -32,9 +32,12 @@ from the labels and compares it against the module itself.
 
 Multiplicities come from characters, which are class functions, so group
 actions and their traces are taken at one representative per conjugacy
-class (GroupData.classes) and weighted by AlgebraData.class_weights.
-That is only valid for representations: the input module must be one,
-which validate() checks.
+class (GroupData.classes), and AlgebraData.multiplicities turns them into
+multiplicities: the same inner product, with the same exactness guard,
+that builds the fusion table the closed rules use.  That is only valid
+for representations: the input module must be one, which validate()
+checks.  On I_0, the whole module, trace(g | I_0) is the plain trace of
+g's action; only the smaller images need sp_trace_restrict.
 """
 
 from __future__ import annotations
@@ -42,13 +45,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .cyclotomic import Cyclotomic
-from .errors import (
-    CandidatePoolIncomplete,
-    InternalInconsistency,
-    NonIntegerMultiplicity,
-    NotFusionReady,
-)
+from .errors import CandidatePoolIncomplete, InternalInconsistency, NotFusionReady
 from .groups import AlgebraData
 from .labels import IndecLabel, NIL, EIG, multiset_dim, sorted_items
 from .linalg import sp_matmul, sp_rref, sp_scalar_shift, sp_trace_restrict
@@ -89,24 +86,8 @@ def isotypic_multiplicities(m: ExplicitModule) -> dict:
     not all of them need to.
     """
     alg = m.alg
-    traces = [m.element_action(g).trace() for g, _ in alg.group.classes]
-    return _isotypic_from_traces(alg, traces)
-
-
-def _isotypic_from_traces(alg: AlgebraData, traces) -> dict:
-    """Multiplicities from traces at the class representatives."""
-    out = {}
-    for s, weights in zip(alg.simples, alg.class_weights):
-        tot = Cyclotomic.zero(alg.field_order)
-        for w, tr in zip(weights, traces):
-            tot = tot + w * tr
-        val = tot.rational_value()
-        if val is None or val.denominator != 1 or val < 0:
-            raise NonIntegerMultiplicity(
-                f"isotypic multiplicity of {s.label!r} came out {val}")
-        if val:
-            out[s.label] = int(val)
-    return out
+    return alg.multiplicities(
+        [m.element_action(g).trace() for g, _ in alg.group.classes])
 
 
 def decompose(m: ExplicitModule, extra_candidates=()) -> DecompResult:
@@ -131,14 +112,14 @@ def decompose(m: ExplicitModule, extra_candidates=()) -> DecompResult:
     pool = {alg.zero()} | set(m.provenance) | {alg.scalar(v) for v in extra_candidates}
     pool = sorted(pool, key=lambda v: v.sort_key())
 
-    element_rows = [m.element_action(g).rows for g, _ in alg.group.classes]
+    actions = [m.element_action(g) for g, _ in alg.group.classes]
 
     labels: Counter = Counter()
     eigenvalues = []
     covered = 0
     for c in pool:
         nil_op = sp_scalar_shift(big_x, dim, c) if c else x_rows
-        found = _count_strings(alg, labels, c, nil_op, element_rows, dim)
+        found = _count_strings(alg, labels, c, nil_op, actions, dim)
         if found and c:
             eigenvalues.append(c)
         covered += found
@@ -169,10 +150,11 @@ def decompose(m: ExplicitModule, extra_candidates=()) -> DecompResult:
     return DecompResult(tuple(sorted_items(alg, labels)), dim, tuple(eigenvalues))
 
 
-def _count_strings(alg: AlgebraData, labels: Counter, c, nil_op, element_rows,
+def _count_strings(alg: AlgebraData, labels: Counter, c, nil_op, actions,
                    dim: int) -> int:
     """Count the strings of eigenvalue c from the image chain of nil_op;
-    returns the dimension of the generalized eigenspace of c."""
+    returns the dimension of the generalized eigenspace of c.  actions
+    are the group's Matrix actions at the class representatives."""
     order = alg.field_order
     classes = alg.group.classes
     if c:
@@ -189,16 +171,14 @@ def _count_strings(alg: AlgebraData, labels: Counter, c, nil_op, element_rows,
     below = sp_rref(columns, dim)
     if len(below[0]) == dim:
         return 0  # N is invertible: c is not an eigenvalue of x^s
-    one = alg.one()
-    image = ([{i: one} for i in range(dim)], list(range(dim)))
-    traces = [sp_trace_restrict(order, rows, image) for rows in element_rows]
+    rank, traces = dim, [a.trace() for a in actions]  # I_0 is everything
     mus = []  # mus[j] = isotypic multiplicities inside K_j
-    while len(below[0]) < len(image[0]):
-        below_traces = [sp_trace_restrict(order, rows, below) for rows in element_rows]
-        mus.append(_isotypic_from_traces(alg, [
+    while len(below[0]) < rank:
+        below_traces = [sp_trace_restrict(order, a.rows, below) for a in actions]
+        mus.append(alg.multiplicities([
             t - w * u for t, w, u in zip(traces, twists, below_traces)]))
-        image, traces = below, below_traces
-        below = sp_rref(sp_matmul(image[0], columns), dim)
+        rank, traces = len(below[0]), below_traces
+        below = sp_rref(sp_matmul(below[0], columns), dim)
     mus.append({})
 
     if not c:
@@ -212,8 +192,7 @@ def _count_strings(alg: AlgebraData, labels: Counter, c, nil_op, element_rows,
                 if mult:
                     labels[IndecLabel(NIL, t, i)] += mult
     else:
-        for rep in alg.orbit_reps:
-            orbit = next(o for o in alg.orbits if o[0] == rep or rep in o)
+        for rep, orbit in zip(alg.orbit_reps, alg.orbits):
             for r in range(1, len(mus)):
                 vals = {mus[r - 1].get(i, 0) - mus[r].get(i, 0) for i in orbit}
                 if len(vals) != 1:
@@ -225,4 +204,4 @@ def _count_strings(alg: AlgebraData, labels: Counter, c, nil_op, element_rows,
                         f"negative multiplicity for Eig({r}, {rep!r})")
                 if mult:
                     labels[IndecLabel(EIG, r, rep, c)] += mult
-    return dim - len(image[0])
+    return dim - rank

@@ -15,7 +15,6 @@ from .labels import (
     FREE,
     NIL,
     TORSION,
-    IndecLabel,
     SimpleLabel,
     canonical_simple,
     canonicalize,

@@ -33,7 +33,9 @@ from .labels import (
     label_sort_key,
 )
 from .linalg import sp_rref
-from .syntax import BinNode, IntNode, LabelNode, NegNode, PowNode, format_label
+from .syntax import (
+    BinNode, IntNode, LabelNode, NegNode, PowNode, format_label, format_signed_sum,
+)
 
 GREEN = "green"
 GROTH = "groth"
@@ -190,7 +192,7 @@ def _term_text(alg, label) -> str:
 
 def format_element(elt: RingElement) -> str:
     """Deterministic text form, e.g. '1 + lam + V[1](2)' or '2*V[2](eps;1)'."""
-    parts = []
+    terms = []
     for label, c in elt.sorted_items():
         body = _term_text(elt.alg, label)
         mag = abs(c)
@@ -200,11 +202,8 @@ def format_element(elt: RingElement) -> str:
             text = body
         else:
             text = f"{mag}*{body}"
-        if not parts:
-            parts.append(text if c > 0 else f"-{text}")
-        else:
-            parts.append(f"+ {text}" if c > 0 else f"- {text}")
-    return " ".join(parts) if parts else "0"
+        terms.append((c < 0, text))
+    return format_signed_sum(terms)
 
 
 # -- expression evaluation ------------------------------------------------------
@@ -293,7 +292,7 @@ class Poly:
         return f"Poly({self.format()!r})"
 
     def format(self) -> str:
-        parts = []
+        terms = []
         for deg in sorted(self.terms, reverse=True):
             coeff = self.terms[deg]
             for char in CHARS:
@@ -309,12 +308,8 @@ class Poly:
                     bits.append("x")
                 elif deg > 1:
                     bits.append(f"x^{deg}")
-                text = "*".join(bits)
-                if not parts:
-                    parts.append(text if v > 0 else f"-{text}")
-                else:
-                    parts.append(f"+ {text}" if v > 0 else f"- {text}")
-        return " ".join(parts) if parts else "0"
+                terms.append((v < 0, "*".join(bits)))
+        return format_signed_sum(terms)
 
 
 def _int_coeff(num, den, binom) -> int:
@@ -370,7 +365,7 @@ def x_basis_to_groth(alg, p: Poly) -> RingElement:
     _require_dihedral(alg)
     out = RingElement(GROTH, alg, {})
     xpow = unit(alg, GROTH)
-    x = to_groth(green_basis(alg, IndecLabel(NIL, 1, 1)))
+    x = _groth_char(alg, 1)
     top = p.degree()
     for deg in range(top + 1):
         coeff = p.terms.get(deg, {})
@@ -433,7 +428,7 @@ def x2_basis_elements(alg):
     _require_dihedral(alg)
     half = (alg.group.size // 4 - 1) // 2
     chi = _groth_char(alg, "chi")
-    x = to_groth(green_basis(alg, IndecLabel(NIL, 1, 1)))
+    x = _groth_char(alg, 1)
     powers = [unit(alg, GROTH)]
     for _ in range(half):
         powers.append(ring_mul(powers[-1], x))
@@ -478,19 +473,15 @@ def groth_to_x2_basis(a: RingElement):
 
 def format_basis_coords(pairs) -> str:
     """Signed sum text for (name, coefficient) pairs; zeros dropped."""
-    bits = []
+    terms = []
     for name, c in pairs:
         if not c:
             continue
-        sign = "-" if c < 0 else "+"
         mag = abs(c)
         body = name if mag == 1 and name != "1" else (
             str(mag) if name == "1" else f"{mag}*{name}")
-        bits.append((sign, body))
-    if not bits:
-        return "0"
-    head = ("-" if bits[0][0] == "-" else "") + bits[0][1]
-    return head + "".join(f" {s} {b}" for s, b in bits[1:])
+        terms.append((c < 0, body))
+    return format_signed_sum(terms)
 
 
 # -- presentation verification ---------------------------------------------------
@@ -550,7 +541,7 @@ class _Report:
 
 
 def _verify_groth_kdn(alg, rep: _Report):
-    x = to_groth(green_basis(alg, IndecLabel(NIL, 1, 1)))
+    x = _groth_char(alg, 1)
     lam = _groth_char(alg, "lam")
     chi = _groth_char(alg, "chi")
     rep.check("lam*x == x", ring_mul(lam, x), x)
@@ -574,18 +565,8 @@ def _verify_groth_kdn(alg, rep: _Report):
             ok = False
     rep.flag("power basis round trip", ok)
     # the halved basis {1, lam, chi, lamchi, x^l, chi*x^l} is unimodular
-    rows = [dict(_groth_char(alg, c).coeffs) for c in CHARS]
-    chi_cls = _groth_char(alg, "chi")
-    xl = unit(alg, GROTH)
-    for l in range(1, (m - 1) // 2 + 1):
-        xl = ring_mul(x, xl)
-        rows.append(dict(xl.coeffs))
-        rows.append(dict(ring_mul(chi_cls, xl).coeffs))
+    rows = [dict(e.coeffs) for _, e in x2_basis_elements(alg)]
     rep.flag("halved power basis is unimodular", _unimodular(rows))
-
-
-def _sum_ok(alg, value, betas):
-    return any(value == b for b in betas)
 
 
 def _verify_groth_h(alg, rep: _Report, betas):
@@ -603,12 +584,12 @@ def _verify_groth_h(alg, rep: _Report, betas):
             if not total:
                 rep.check(f"y[{sll}]*y[{slr}] == 2*(1 + chi)",
                           ring_mul(ys[a], ys[b]), two_chi_unit)
-            elif _sum_ok(alg, total, betas):
+            elif total in betas:
                 rep.check(f"y[{sll}]*y[{slr}] == 2*y[{total.to_literal()}]",
                           ring_mul(ys[a], ys[b]), ys[total].scale(2))
     # finite check of the free-part basis: {lam*y_b, x^l*y_b} per eigenvalue
     m = alg.group.size // 4
-    x = to_groth(green_basis(alg, IndecLabel(NIL, 1, 1)))
+    x = _groth_char(alg, 1)
     lam = _groth_char(alg, "lam")
     ok = True
     for b in betas:
@@ -685,7 +666,7 @@ def _verify_green_h(alg, rep: _Report, betas, t_max):
             if not total:
                 rep.check(f"w[{sll}]*w[{slr}] == (1 + chi)*y",
                           ring_mul(ws[a], ws[b]), chi_y)
-            elif _sum_ok(alg, total, betas):
+            elif total in betas:
                 rep.check(f"w[{sll}]*w[{slr}] == 2*w[{total.to_literal()}]",
                           ring_mul(ws[a], ws[b]), ws[total].scale(2))
     for b in betas:

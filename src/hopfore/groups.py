@@ -9,10 +9,16 @@ scalars live in one cyclotomic field fixed per algebra.
 
 Characters of representations are class functions, so character sums run
 over the conjugacy classes (GroupData.classes), one representative each,
-weighted by the class size.  AlgebraData.class_weights holds the weights
-that turn a module's traces at the class representatives into isotypic
-multiplicities; it is built only once every simple has been checked to be
-a homomorphism, since only then are the simple characters class functions.
+weighted by the class size.  AlgebraData.multiplicities is the one inner
+product of a class function with the simple characters, and the one place
+that insists the result be a nonnegative integer.  Both routes read kG
+through it: the fusion coefficients N_ij^l are the multiplicities of a
+product character, and decompose counts strings from the multiplicities
+of traces on a module.  At build time every simple's own character must
+come out as exactly itself, which certifies the simples and the method at
+once.  The weights (AlgebraData.class_weights) are built only once every
+simple has been checked to be a homomorphism, since only then are the
+simple characters class functions.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .cyclotomic import Cyclotomic, Rational
+from .cyclotomic import Cyclotomic
 from .errors import (
     IncompleteSimpleList,
     InternalInconsistency,
@@ -33,8 +39,6 @@ from .errors import (
     UnknownLabel,
 )
 from .linalg import Matrix
-
-DIHEDRAL_CHARS = ("eps", "lam", "chi", "lamchi")
 
 
 class GroupData:
@@ -170,6 +174,15 @@ def expand_words(group: GroupData, gen_mats, field_order: int, dim: int) -> list
     return mats
 
 
+def table_violations(group: GroupData, gen_mats, mats) -> list[tuple[int, int]]:
+    """The (element, generator index) pairs (g, k) at which mats[g] times
+    gen_mats[k] is not the matrix of g times the k-th generator; empty
+    exactly when mats, one per element, represent the group table."""
+    return [(g, k) for g in range(group.size)
+            for k, gen in enumerate(group.generators)
+            if mats[g] @ gen_mats[k] != mats[group.mul[g][gen]]]
+
+
 class AlgebraData:
     """Validated extension data with derived sigma/omega/fusion tables."""
 
@@ -229,50 +242,52 @@ class AlgebraData:
         if total != group.size:
             raise IncompleteSimpleList(
                 f"sum of squared dimensions is {total}, group order is {group.size}")
-        # Each simple must be a homomorphism and irreducible; pairs distinct.
-        # The class sums below are valid only once every simple has passed
-        # the homomorphism check.
+        # Each simple must be a homomorphism, irreducible and distinct from
+        # the others.  The class sums below are valid only once every simple
+        # has passed the homomorphism check.
         for s in self.simples:
-            mats = s.element_mats
-            for g in range(group.size):
-                for k, gen in enumerate(group.generators):
-                    if mats[g] @ s.gen_mats[k] != mats[group.mul[g][gen]]:
-                        raise InvalidParameter(
-                            f"simple {s.label!r}: matrices violate the group table")
+            if table_violations(group, s.gen_mats, s.element_mats):
+                raise InvalidParameter(
+                    f"simple {s.label!r}: matrices violate the group table")
         # |C| chi_s(g_C^{-1}) / |G| per simple s and class C
         object.__setattr__(self, "class_weights", tuple(
             tuple(s.char[group.inverse[g]] * size / group.size
                   for g, size in group.classes)
             for s in self.simples))
-        at_reps = [self._class_values(s.char) for s in self.simples]
-        for k, s in enumerate(self.simples):
-            if self._char_inner(at_reps[k], k) != 1:
+        # each simple's character must come out exactly as itself
+        found = [self.multiplicities([s.char[g] for g, _ in group.classes])
+                 for s in self.simples]
+        for s, mult in zip(self.simples, found):
+            if mult.get(s.label) != 1:
                 raise NotIrreducible(f"simple {s.label!r} has character norm != 1")
-        for i, si in enumerate(self.simples):
-            for j in range(i + 1, len(self.simples)):
-                if self._char_inner(at_reps[i], j) != 0:
-                    raise InvalidParameter(
-                        f"simples {si.label!r} and {self.simples[j].label!r} "
-                        "are not distinct")
+        for s, mult in zip(self.simples, found):
+            other = next((l for l in mult if l != s.label), None)
+            if other is not None:
+                raise InvalidParameter(
+                    f"simples {s.label!r} and {other!r} are not distinct")
 
-    def _class_values(self, char) -> tuple:
-        """A class function's values at the class representatives."""
-        return tuple(char[g] for g, _ in self.group.classes)
+    def multiplicities(self, traces) -> dict:
+        """{label: <a, chi_label>} for the class function a given by its
+        values at the class representatives (group.classes order); zeros
+        are dropped.
 
-    def _char_inner(self, values, k: int):
-        """(1/|G|) sum over g of a(g) chi_k(g^{-1}), exact, must be rational.
-
-        a is a class function given by its values at the conjugacy class
-        representatives, and chi_k is the character of the k-th simple; the
-        sum is one term per class, weighted by class_weights[k].
+        Each value is (1/|G|) sum over g of a(g) chi_label(g^{-1}), one
+        term per class weighted by class_weights.  It is a nonnegative
+        integer whenever a is the character of a representation; anything
+        else raises NonIntegerMultiplicity.
         """
-        tot = Cyclotomic.zero(self.field_order)
-        for v, w in zip(values, self.class_weights[k]):
-            tot = tot + v * w
-        val = tot.rational_value()
-        if val is None:
-            raise NonIntegerMultiplicity("character inner product is irrational")
-        return val
+        out = {}
+        for s, weights in zip(self.simples, self.class_weights):
+            tot = Cyclotomic.zero(self.field_order)
+            for w, tr in zip(weights, traces):
+                tot = tot + w * tr
+            val = tot.rational_value()
+            if val is None or val.denominator != 1 or val < 0:
+                raise NonIntegerMultiplicity(
+                    f"isotypic multiplicity of {s.label!r} came out {val}")
+            if val:
+                out[s.label] = int(val)
+        return out
 
     # -- derived tables -----------------------------------------------------
 
@@ -324,19 +339,10 @@ class AlgebraData:
 
     def _build_fusion(self):
         table = {}
-        at_reps = [self._class_values(s.char) for s in self.simples]
+        at_reps = [[s.char[g] for g, _ in self.group.classes] for s in self.simples]
         for si, ai in zip(self.simples, at_reps):
             for sj, aj in zip(self.simples, at_reps):
-                prod = tuple(a * b for a, b in zip(ai, aj))
-                out = Counter()
-                for k, sl in enumerate(self.simples):
-                    n = self._char_inner(prod, k)
-                    if n:
-                        if n.denominator != 1 or n < 0:
-                            raise NonIntegerMultiplicity(
-                                f"fusion coefficient ({si.label!r},{sj.label!r})"
-                                f"->{sl.label!r} is {n}")
-                        out[sl.label] = int(n)
+                out = Counter(self.multiplicities([a * b for a, b in zip(ai, aj)]))
                 dim = sum(self.simple_by_label[l].dim * k for l, k in out.items())
                 if dim != si.dim * sj.dim:
                     raise InternalInconsistency("fusion table loses dimension")

@@ -36,7 +36,7 @@ from .errors import (
     InvalidParameter,
     ZeroBeta,
 )
-from .groups import AlgebraData, algebra_from_descriptor, expand_words
+from .groups import AlgebraData, algebra_from_descriptor, expand_words, table_violations
 from .linalg import Matrix
 
 
@@ -241,13 +241,10 @@ def validate(m: ExplicitModule) -> list[str]:
     alg = m.alg
     group = alg.group
     mats = expand_words(group, m.gen_actions, alg.field_order, m.dim)
-    for g in range(group.size):
-        mg = mats[g]
-        for k, gen in enumerate(group.generators):
-            if mg @ m.gen_actions[k] != mats[group.mul[g][gen]]:
-                findings.append(
-                    f"group-relation: element {group.names[g]} * generator {k} "
-                    "violates the multiplication table")
+    for g, k in table_violations(group, m.gen_actions, mats):
+        findings.append(
+            f"group-relation: element {group.names[g]} * generator {k} "
+            "violates the multiplication table")
     for k, gen in enumerate(group.generators):
         g_mat = m.gen_actions[k]
         lhs = m.x_action @ g_mat

@@ -320,6 +320,18 @@ def format_label(label) -> str:
     return f"V[{label.t}]({label.i};{label.beta.to_literal()})"
 
 
+def format_signed_sum(terms) -> str:
+    """'a - b + c' from (negative, text) pairs in order: the first term
+    as 'a' or '-a', the rest as '+ t' or '- t'; '0' when there are none."""
+    parts = []
+    for negative, text in terms:
+        if parts:
+            parts.append(f"- {text}" if negative else f"+ {text}")
+        else:
+            parts.append(f"-{text}" if negative else text)
+    return " ".join(parts) if parts else "0"
+
+
 def format_multiset(alg, counts) -> str:
     """Deterministic rendering of a label multiset, e.g. '2*V[1](2) + V[2](eps)'."""
     parts = []

@@ -4,7 +4,8 @@ import pytest
 
 from hopfore.cyclotomic import Cyclotomic
 from hopfore.errors import (
-    IncompleteSimpleList, NotCentral, NotIrreducible, TrivialQ, UnknownLabel,
+    IncompleteSimpleList, NonIntegerMultiplicity, NotCentral, NotIrreducible,
+    TrivialQ, UnknownLabel,
 )
 from hopfore.groups import custom_algebra, dihedral_algebra, fusion_coeffs
 from hopfore.linalg import Matrix
@@ -153,6 +154,49 @@ def test_custom_rejects_reducible():
     chi = [z ** k for k in range(4)]
     with pytest.raises(NotIrreducible):
         custom_algebra(group, simples, 1, chi, 4)
+
+
+def _c4_group():
+    from hopfore.groups import GroupData
+
+    return GroupData([[(i + j) % 4 for j in range(4)] for i in range(4)],
+                     generators=(1,))
+
+
+def test_custom_rejects_equal_simples():
+    # c1 listed twice: squared dimensions still add up to |C_4|
+    from hopfore.errors import InvalidParameter
+
+    simples = [(f"c{l}", [Matrix(4, [[Cyclotomic.zeta(4, l)]])]) for l in range(3)]
+    simples.append(("c1b", [Matrix(4, [[Cyclotomic.zeta(4, 1)]])]))
+    chi = [Cyclotomic.zeta(4, k) for k in range(4)]
+    with pytest.raises(InvalidParameter,
+                       match="^simples 'c1' and 'c1b' are not distinct$"):
+        custom_algebra(_c4_group(), simples, 2, chi, 4)
+
+
+def test_custom_rejects_non_representation():
+    from hopfore.errors import InvalidParameter
+
+    simples = [(f"c{l}", [Matrix(4, [[Cyclotomic.zeta(4, l)]])]) for l in range(3)]
+    simples.append(("bad", [Matrix(4, [[2]])]))
+    chi = [Cyclotomic.zeta(4, k) for k in range(4)]
+    with pytest.raises(InvalidParameter,
+                       match="^simple 'bad': matrices violate the group table$"):
+        custom_algebra(_c4_group(), simples, 2, chi, 4)
+
+
+def test_multiplicities(c4):
+    # the regular character of C_4 holds every simple once
+    four, zero = Cyclotomic.rational(4, 4), c4.zero()
+    assert c4.multiplicities([four, zero, zero, zero]) == {
+        "c0": 1, "c1": 1, "c2": 1, "c3": 1}
+    # 1/4, irrational, negative: none is a multiplicity
+    for values in ([c4.one(), zero, zero, zero],
+                   [four * Cyclotomic.zeta(4), zero, zero, zero],
+                   [-c4.one()] * 4):
+        with pytest.raises(NonIntegerMultiplicity):
+            c4.multiplicities(values)
 
 
 def test_cyclic_c4(c4):

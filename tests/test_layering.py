@@ -54,3 +54,24 @@ def test_closed_rules_do_not_reach_oracle():
     assert "labels" in reach
     assert not reach & {"decompose", "modules"}, sorted(reach)
 
+
+
+def _unused_package_imports(name: str) -> list:
+    """Names hopfore.<name> imports from another package module and never
+    reads; `__future__` and the re-exports of `__init__` do not count."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("hopfore")):
+            imported += [(a.asname or a.name, node.lineno) for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{name}.py:{line} {alias}" for alias, line in imported
+            if alias not in used]
+
+
+def test_no_unused_package_imports():
+    names = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    assert "decompose" in names
+    unused = [hit for name in names for hit in _unused_package_imports(name)]
+    assert not unused, unused
