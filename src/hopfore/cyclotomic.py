@@ -144,6 +144,25 @@ class Cyclotomic:
         zpow = _tables(order)[2]
         return _make(order, zpow[power % order], 1)
 
+    @staticmethod
+    def sum(order: int, values) -> "Cyclotomic":
+        """The sum of order-`order` elements, accumulated on integer
+        numerators over the lcm of their denominators: one reduction for
+        the whole sum rather than a new element and a gcd per term."""
+        acc = [0] * _tables(order)[0]
+        den = 1
+        for v in values:
+            if v.order != order:
+                raise OrderMismatch(f"cannot combine orders {order} and {v.order}")
+            if v.den == den:
+                acc = list(map(add, acc, v.num))
+            else:
+                new = lcm(den, v.den)
+                f, g = new // den, new // v.den
+                acc = [a * f + b * g for a, b in zip(acc, v.num)]
+                den = new
+        return _norm(order, tuple(acc), den)
+
     # -- basic structure ---------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -168,13 +187,6 @@ class Cyclotomic:
             h = hash((self.order, self.num if self.den == 1 else self.coeffs))
             _set_hash(self, h)
             return h
-
-    def rational_value(self):
-        """The element as a Rational if it lies in Q, else None."""
-        num = self.num
-        if any(num[1:]):
-            return None
-        return Rational(num[0], self.den)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -34,10 +34,13 @@ Multiplicities come from characters, which are class functions, so group
 actions and their traces are taken at one representative per conjugacy
 class (GroupData.classes), and AlgebraData.multiplicities turns them into
 multiplicities: the same inner product, with the same exactness guard,
-that builds the fusion table the closed rules use.  That is only valid
-for representations: the input module must be one, which validate()
-checks.  On I_0, the whole module, trace(g | I_0) is the plain trace of
-g's action; only the smaller images need sp_trace_restrict.
+that builds the fusion table the closed rules use, evaluated as integer
+dot products of the traces' numerators with the algebra's stored form.
+That is only valid for representations: the input module must be one,
+which validate() checks.  On I_0, the whole module, trace(g | I_0) is the
+plain trace of g's action; only the smaller images need
+sp_trace_restrict.  Both sum their terms on integer numerators over one
+denominator (Cyclotomic.sum).
 """
 
 from __future__ import annotations

@@ -464,10 +464,10 @@ def groth_to_x2_basis(a: RingElement):
         raise UnsupportedLabel("element lies outside the span of the requested basis")
     out = []
     for (name, _), row in zip(basis, rows):
-        v = row[n].rational_value() if n in row else 0
-        if v.denominator != 1:
+        v = row.get(n)
+        if v is not None and v.den != 1:
             raise InternalInconsistency("basis solve gave a non-integer coefficient")
-        out.append((name, int(v)))
+        out.append((name, v.num[0] if v is not None else 0))
     return out
 
 
@@ -504,8 +504,7 @@ def _unimodular(rows) -> bool:
     reduced, pivots = sp_rref(augmented, 2 * n)
     if pivots != list(range(n)):
         return False
-    return all(v.rational_value().denominator == 1
-               for row in reduced for v in row.values())
+    return all(v.den == 1 for row in reduced for v in row.values())
 
 
 def _green_char(alg, name):

@@ -16,17 +16,25 @@ through it: the fusion coefficients N_ij^l are the multiplicities of a
 product character, and decompose counts strings from the multiplicities
 of traces on a module.  At build time every simple's own character must
 come out as exactly itself, which certifies the simples and the method at
-once.  The weights (AlgebraData.class_weights) are built only once every
-simple has been checked to be a homomorphism, since only then are the
-simple characters class functions.
+once.
+
+The inner product is a fixed rational linear form on the power-basis
+coordinates of the class values (Serre, Linear Representations of Finite
+Groups, 2.3), so it is stored once per algebra as integers
+(AlgebraData.char_form over AlgebraData.char_den) and evaluated by
+integer dot products.  The form is built only once every simple has been
+checked to be a homomorphism, since only then are the simple characters
+class functions.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, Rational, field_degree
 from .errors import (
     IncompleteSimpleList,
     InternalInconsistency,
@@ -190,7 +198,7 @@ class AlgebraData:
         "group", "field_order", "central", "chi", "q", "s", "fusion_ready",
         "simples", "labels", "label_index", "simple_by_label", "sigma",
         "omega", "orbits", "orbit_rep", "orbit_reps", "fusion",
-        "class_weights", "kind", "descriptor", "_hash",
+        "char_form", "char_den", "kind", "descriptor", "_hash",
     )
 
     def __init__(self, group, simples, central, chi, field_order, kind, descriptor):
@@ -249,11 +257,7 @@ class AlgebraData:
             if table_violations(group, s.gen_mats, s.element_mats):
                 raise InvalidParameter(
                     f"simple {s.label!r}: matrices violate the group table")
-        # |C| chi_s(g_C^{-1}) / |G| per simple s and class C
-        object.__setattr__(self, "class_weights", tuple(
-            tuple(s.char[group.inverse[g]] * size / group.size
-                  for g, size in group.classes)
-            for s in self.simples))
+        self._build_char_form()
         # each simple's character must come out exactly as itself
         found = [self.multiplicities([s.char[g] for g, _ in group.classes])
                  for s in self.simples]
@@ -266,27 +270,60 @@ class AlgebraData:
                 raise InvalidParameter(
                     f"simples {s.label!r} and {other!r} are not distinct")
 
+    def _build_char_form(self):
+        """The inner product with each simple as integer rows.
+
+        With w = |C| chi_s(g_C^{-1}) / |G|, the value at a class function a
+        is the sum over classes C and power-basis indices j of
+        a(g_C)_j * (w zeta^j); coordinate r of that is an integer row,
+        indexed by (C, j) as C * d + j, over the common denominator of all
+        the products w zeta^j.
+        """
+        group, order = self.group, self.field_order
+        powers = [Cyclotomic.zeta(order, j) for j in range(field_degree(order))]
+        terms = [[s.char[group.inverse[g]] * size / group.size * z
+                  for g, size in group.classes for z in powers]
+                 for s in self.simples]
+        den = lcm(*(t.den for row in terms for t in row))
+        object.__setattr__(self, "char_den", den)
+        object.__setattr__(self, "char_form", tuple(
+            tuple(tuple(t.num[r] * (den // t.den) for t in row)
+                  for r in range(len(powers)))
+            for row in terms))
+
     def multiplicities(self, traces) -> dict:
         """{label: <a, chi_label>} for the class function a given by its
         values at the class representatives (group.classes order); zeros
         are dropped.
 
-        Each value is (1/|G|) sum over g of a(g) chi_label(g^{-1}), one
-        term per class weighted by class_weights.  It is a nonnegative
-        integer whenever a is the character of a representation; anything
-        else raises NonIntegerMultiplicity.
+        Each value is (1/|G|) sum over g of a(g) chi_label(g^{-1}): the
+        values are put over one denominator D, and their nonzero numerators
+        are dotted with the label's rows of char_form.  It is a nonnegative
+        integer, coordinate 0 a multiple of D * char_den and every other
+        coordinate 0, whenever a is the character of a representation;
+        anything else raises NonIntegerMultiplicity.
         """
+        den = lcm(*(t.den for t in traces))
+        keys, nums = [], []
+        k = 0
+        for t in traces:
+            f = den // t.den
+            for a in t.num:
+                if a:
+                    keys.append(k)
+                    nums.append(a * f)
+                k += 1
+        full = den * self.char_den
         out = {}
-        for s, weights in zip(self.simples, self.class_weights):
-            tot = Cyclotomic.zero(self.field_order)
-            for w, tr in zip(weights, traces):
-                tot = tot + w * tr
-            val = tot.rational_value()
-            if val is None or val.denominator != 1 or val < 0:
+        for s, rows in zip(self.simples, self.char_form):
+            coords = [sum(map(mul, map(row.__getitem__, keys), nums)) for row in rows]
+            val, irrational = coords[0], any(coords[1:])
+            if irrational or val < 0 or val % full:
+                shown = None if irrational else Rational(val, full)
                 raise NonIntegerMultiplicity(
-                    f"isotypic multiplicity of {s.label!r} came out {val}")
+                    f"isotypic multiplicity of {s.label!r} came out {shown}")
             if val:
-                out[s.label] = int(val)
+                out[s.label] = val // full
         return out
 
     # -- derived tables -----------------------------------------------------

@@ -12,6 +12,8 @@ decompose walks, the coordinates of the halved basis and the
 unimodularity test of the Green ring all reduce through it.  Everything
 is fraction-exact, and pivoting always takes the first row with a
 nonzero entry in the current column, so reduced forms are canonical.
+Traces (Matrix.trace, sp_trace_restrict) collect their terms and add them
+once with Cyclotomic.sum, on integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -105,12 +107,8 @@ class Matrix:
     def trace(self) -> Cyclotomic:
         if self.nrows != self.ncols:
             raise ShapeMismatch("trace of a non-square matrix")
-        t = Cyclotomic.zero(self.order)
-        for i, row in enumerate(self.rows):
-            v = row.get(i)
-            if v is not None:
-                t = t + v
-        return t
+        return Cyclotomic.sum(self.order, [row[i] for i, row in enumerate(self.rows)
+                                           if i in row])
 
     def rank(self) -> int:
         return len(sp_rref(self.rows, self.ncols)[1])
@@ -295,7 +293,7 @@ def sp_trace_restrict(order: int, rows: list[dict],
     row p_k of A times b_k.  Invariance is the caller's responsibility.
     """
     vecs, pivots = basis
-    acc = Cyclotomic.zero(order)
+    terms = []
     for col, p in zip(vecs, pivots):
         row = rows[p] if p < len(rows) else None
         if not row:
@@ -303,5 +301,5 @@ def sp_trace_restrict(order: int, rows: list[dict],
         for k, v in row.items():
             c = col.get(k)
             if c is not None:
-                acc = acc + v * c
-    return acc
+                terms.append(v * c)
+    return Cyclotomic.sum(order, terms)

@@ -20,6 +20,74 @@ def cyclic_algebra(n, chi_exp):
     return custom_algebra(group, simples, central=1, chi=chi, field_order=n)
 
 
+def permutation_algebra(perms, simples, chi, central, order):
+    """custom_algebra on the group that the permutations `perms` (tuples of
+    images) generate.
+
+    Elements are indexed breadth-first from the identity and multiply as
+    maps, g h applying h first.  simples: (label, one matrix per
+    generator); chi: its value on each generator, extended along the
+    breadth-first words (custom_algebra checks that it is a character);
+    central: the position in `perms` of the central generator.
+    """
+    elements = [tuple(range(len(perms[0])))]
+    index = {elements[0]: 0}
+    chi_values = [Cyclotomic.one(order)]
+    k = 0
+    while k < len(elements):
+        for h, v in zip(perms, chi):
+            p = tuple(elements[k][j] for j in h)
+            if p not in index:
+                index[p] = len(elements)
+                elements.append(p)
+                chi_values.append(chi_values[k] * v)
+        k += 1
+    mul = [[index[tuple(g[j] for j in h)] for h in elements] for g in elements]
+    group = GroupData(mul, generators=tuple(index[h] for h in perms))
+    return custom_algebra(group, simples, central=index[perms[central]],
+                          chi=chi_values, field_order=order)
+
+
+def s3_c4_algebra():
+    """S_3 x C_4 over Q(zeta_4) with chi = sign x zeta_4 and a the C_4
+    generator: q = zeta_4, s = 4.  Simples: trivial t, sign g and the
+    two-dimensional d of S_3, each times the characters zeta_4^l of C_4."""
+    swap, rot, c = (1, 0, 2, 3, 4, 5, 6), (1, 2, 0, 3, 4, 5, 6), (0, 1, 2, 4, 5, 6, 3)
+    one, z = Cyclotomic.one(4), Cyclotomic.zeta(4)
+    simples = []
+    for l in range(4):
+        zl = z ** l
+        simples += [
+            (f"t{l}", [Matrix(4, [[one]]), Matrix(4, [[one]]), Matrix(4, [[zl]])]),
+            (f"g{l}", [Matrix(4, [[-one]]), Matrix(4, [[one]]), Matrix(4, [[zl]])]),
+            (f"d{l}", [Matrix(4, [[0, 1], [1, 0]]), Matrix(4, [[0, -1], [1, -1]]),
+                       Matrix.scalar(4, 2, zl)]),
+        ]
+    return permutation_algebra((swap, rot, c), simples, (-one, one, z), 2, 4)
+
+
+def a4_c3_algebra():
+    """A_4 x C_3 over Q(zeta_3) with chi = lambda x zeta_3, lambda the
+    linear character of A_4 that takes a 3-cycle to zeta_3, and a the C_3
+    generator: q = zeta_3, s = 3.  Simples: the linear characters l<k>
+    (3-cycle to zeta_3^k) and the three-dimensional v of A_4, each times
+    the characters zeta_3^l of C_3."""
+    rot, dbl = (1, 2, 0, 3, 4, 5, 6), (1, 0, 3, 2, 4, 5, 6)
+    c = (0, 1, 2, 3, 5, 6, 4)
+    one, w = Cyclotomic.one(3), Cyclotomic.zeta(3)
+    # rotations of the tetrahedron: the 3-cycle permutes the axes, the
+    # double transposition is a half turn
+    cycle = Matrix(3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    half_turn = Matrix(3, [[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    simples = []
+    for l in range(3):
+        wl = w ** l
+        simples += [(f"l{k}{l}", [Matrix(3, [[w ** k]]), Matrix(3, [[one]]),
+                                  Matrix(3, [[wl]])]) for k in range(3)]
+        simples.append((f"v{l}", [cycle, half_turn, Matrix.scalar(3, 3, wl)]))
+    return permutation_algebra((rot, dbl, c), simples, (w, one, w), 2, 3)
+
+
 @pytest.fixture(scope="session")
 def alg3():
     return dihedral_algebra(3)
@@ -43,3 +111,13 @@ def c4():
 @pytest.fixture(scope="session")
 def c8():
     return cyclic_algebra(8, 2)
+
+
+@pytest.fixture(scope="session")
+def s3c4():
+    return s3_c4_algebra()
+
+
+@pytest.fixture(scope="session")
+def a4c3():
+    return a4_c3_algebra()

@@ -4,10 +4,10 @@ independent matrix oracle, every ring identity against exact arithmetic.
 Each test here is one acceptance gate; together they cover the full label
 grid (both dihedral parameters), two seeded samples of the m = 7 grid, a
 seeded sample of the m = 3 grid with long strings, the full C_8 grid with
-the nontrivial eigenvalue twist, the power-basis
-combinatorics, the ring
-presentations, the structural invariants of the indecomposables, ring
-homomorphism compatibility, the one genuinely ambiguous index range in the
+the nontrivial eigenvalue twist, seeded samples of the S_3 x C_4 and
+A_4 x C_3 grids, a hypothesis-drawn pair on a drawn fixture algebra, the
+power-basis combinatorics, the ring presentations, the structural
+invariants of the indecomposables, ring homomorphism compatibility, the one genuinely ambiguous index range in the
 string-overlap formula, and commutativity.
 """
 
@@ -15,6 +15,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hopfore.cyclotomic import Rational
 from hopfore.decompose import decompose
@@ -92,6 +93,48 @@ def test_differential_fusion_grid_c8_twist(c8):
     summary = run_grid(c8, labels)
     assert summary["pairs"] == 900
     assert summary["mismatches"] == [], summary["mismatches"][:3]
+
+
+def test_differential_fusion_grid_s3_c4_sample(s3c4):
+    """Closed rules equal the matrix oracle on 600 seeded ordered pairs of
+    the S_3 x C_4 grid (s = 4, two-dimensional simples, Nil t up to 3,
+    Eig t 1, betas 1, -1, 2)."""
+    labels = grid_labels(s3c4, 3, 1, (1, -1, 2))
+    assert len(labels) == 45
+    mismatches = _sample_mismatches(s3c4, labels, 600, 20261021)
+    assert mismatches == [], mismatches[:3]
+
+
+def test_differential_fusion_grid_a4_c3_sample(a4c3):
+    """Closed rules equal the matrix oracle on 600 seeded ordered pairs of
+    the A_4 x C_3 grid (s = 3, three-dimensional simples, Nil t up to 3,
+    Eig t 1, betas 1, -1, 2)."""
+    labels = grid_labels(a4c3, 3, 1, (1, -1, 2))
+    assert len(labels) == 48
+    mismatches = _sample_mismatches(a4c3, labels, 600, 20261022)
+    assert mismatches == [], mismatches[:3]
+
+
+FIXTURE_GRIDS = {
+    "alg3": (3, 2, BETAS), "alg5": (3, 2, BETAS), "alg7": (3, 2, BETAS),
+    "c4": (3, 1, (1, -1, 2)), "c8": (3, 1, (1, -1, 2)),
+    "s3c4": (3, 1, (1, -1, 2)), "a4c3": (3, 1, (1, -1, 2)),
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_differential_hypothesis(data, request):
+    """Closed rules equal the matrix oracle on a drawn algebra of the
+    fixture list and a drawn ordered pair of its grid."""
+    name = data.draw(st.sampled_from(sorted(FIXTURE_GRIDS)), label="algebra")
+    alg = request.getfixturevalue(name)
+    labels = grid_labels(alg, *FIXTURE_GRIDS[name])
+    left = data.draw(st.sampled_from(labels), label="left")
+    right = data.draw(st.sampled_from(labels), label="right")
+    oracle = decompose(tensor(build_module(alg, left), build_module(alg, right)))
+    assert tensor_labels(alg, left, right) == oracle.counter()
 
 
 def test_iterated_powers_match_binomial_decomposition():

@@ -1,8 +1,10 @@
 """Algebra data: extension parameters, sigma/omega tables, fusion coefficients."""
 
+import random
+
 import pytest
 
-from hopfore.cyclotomic import Cyclotomic
+from hopfore.cyclotomic import Cyclotomic, Rational, field_degree
 from hopfore.errors import (
     IncompleteSimpleList, NonIntegerMultiplicity, NotCentral, NotIrreducible,
     TrivialQ, UnknownLabel,
@@ -186,19 +188,6 @@ def test_custom_rejects_non_representation():
         custom_algebra(_c4_group(), simples, 2, chi, 4)
 
 
-def test_multiplicities(c4):
-    # the regular character of C_4 holds every simple once
-    four, zero = Cyclotomic.rational(4, 4), c4.zero()
-    assert c4.multiplicities([four, zero, zero, zero]) == {
-        "c0": 1, "c1": 1, "c2": 1, "c3": 1}
-    # 1/4, irrational, negative: none is a multiplicity
-    for values in ([c4.one(), zero, zero, zero],
-                   [four * Cyclotomic.zeta(4), zero, zero, zero],
-                   [-c4.one()] * 4):
-        with pytest.raises(NonIntegerMultiplicity):
-            c4.multiplicities(values)
-
-
 def test_cyclic_c4(c4):
     assert c4.s == 4
     assert c4.q == Cyclotomic.zeta(4)
@@ -240,8 +229,20 @@ def _conjugacy_class(group, g):
     return {group.mul[group.mul[h][g]][group.inverse[h]] for h in range(group.size)}
 
 
-def test_conjugacy_classes(alg3, alg5, alg7, c4, c8):
-    for alg, want in ((alg3, 6), (alg5, 8), (alg7, 10), (c4, 4), (c8, 8)):
+def _reference_weights(alg, s):
+    """|C| chi_s(g_C^{-1}) / |G| per class C, in Cyclotomic arithmetic."""
+    group = alg.group
+    return [s.char[group.inverse[g]] * size / group.size for g, size in group.classes]
+
+
+def _reference_inner(alg, s, values):
+    """<a, chi_s> for a class function given at the class representatives."""
+    return sum((w * v for w, v in zip(_reference_weights(alg, s), values)), alg.zero())
+
+
+def test_conjugacy_classes(alg3, alg5, alg7, c4, c8, s3c4, a4c3):
+    for alg, want in ((alg3, 6), (alg5, 8), (alg7, 10), (c4, 4), (c8, 8),
+                      (s3c4, 12), (a4c3, 12)):
         group = alg.group
         assert len(group.classes) == want
         seen = set()
@@ -255,10 +256,64 @@ def test_conjugacy_classes(alg3, alg5, alg7, c4, c8):
         assert seen == set(range(group.size))
         assert [rep for rep, _ in group.classes] == sorted(
             rep for rep, _ in group.classes)
-        # the weights turn the character of each simple into its own
-        # multiplicity 1, and every other simple's into 0
-        for s, weights in zip(alg.simples, alg.class_weights):
+        # the reference weights turn the character of each simple into its
+        # own multiplicity 1, and every other simple's into 0; the stored
+        # form holds them times zeta^j, row r giving coordinate r over
+        # char_den at position (class, j)
+        order = alg.field_order
+        d = field_degree(order)
+        for s, rows in zip(alg.simples, alg.char_form):
             for t in alg.simples:
-                got = sum((w * t.char[rep] for w, (rep, _) in
-                           zip(weights, group.classes)), alg.zero())
+                got = _reference_inner(alg, s, [t.char[rep] for rep, _ in group.classes])
                 assert got == (1 if t is s else 0), (s.label, t.label)
+            assert len(rows) == d
+            for c, w in enumerate(_reference_weights(alg, s)):
+                for j in range(d):
+                    want = (w * Cyclotomic.zeta(order, j)).coeffs
+                    assert tuple(Rational(row[c * d + j], alg.char_den)
+                                 for row in rows) == want, (s.label, c, j)
+
+
+@pytest.mark.parametrize("name", ["alg3", "alg5", "alg7", "c4", "c8", "s3c4", "a4c3"])
+def test_multiplicities_of_character_combinations(name, request):
+    """Seeded nonnegative integer combinations of the simple characters
+    come back as their coefficients, as the in-test reference says."""
+    alg = request.getfixturevalue(name)
+    reps = [g for g, _ in alg.group.classes]
+    rng = random.Random(20261018)
+    for _ in range(12):
+        coeffs = {s.label: rng.choice((0, 0, 1, 2, 7)) for s in alg.simples}
+        values = [sum((coeffs[s.label] * s.char[g] for s in alg.simples), alg.zero())
+                  for g in reps]
+        assert alg.multiplicities(values) == {l: c for l, c in coeffs.items() if c}
+        assert {s.label: _reference_inner(alg, s, values)
+                for s in alg.simples} == coeffs
+
+
+def test_multiplicities(c4, alg5):
+    # the regular character of C_4 holds every simple once
+    four, zero4, zero10 = Cyclotomic.rational(4, 4), c4.zero(), alg5.zero()
+    assert c4.multiplicities([four, zero4, zero4, zero4]) == {
+        "c0": 1, "c1": 1, "c2": 1, "c3": 1}
+    # none of these is a character: each fails the guard with the value
+    # that the in-test reference gives
+    cases = [
+        # mixed denominators: the values are put over their lcm, 6
+        (c4, [Cyclotomic.rational(4, Rational(1, 2)),
+              Cyclotomic.rational(4, Rational(1, 3)), zero4, zero4]),
+        # degree 4 at m = 5, one nonzero coordinate, irrational
+        (alg5, [20 * Cyclotomic.zeta(10, 2)] + [zero10] * 7),
+        (c4, [four * Cyclotomic.zeta(4), zero4, zero4, zero4]),
+        # negative
+        (c4, [-c4.one()] * 4),
+        # not integral: 1/4
+        (c4, [c4.one(), zero4, zero4, zero4]),
+    ]
+    for alg, values in cases:
+        first = alg.simples[0]
+        ref = _reference_inner(alg, first, values)
+        shown = None if any(ref.num[1:]) else Rational(ref.num[0], ref.den)
+        assert shown is None or shown < 0 or shown.denominator != 1
+        with pytest.raises(NonIntegerMultiplicity) as err:
+            alg.multiplicities(values)
+        assert str(err.value) == f"isotypic multiplicity of {first.label!r} came out {shown}"
