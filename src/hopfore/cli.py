@@ -168,6 +168,13 @@ def cmd_tensor(args):
 
 # -- ring -------------------------------------------------------------------
 
+def _x1_degree_char(name):
+    # X_1 names are x^k (k >= 1) and the characters 1 (eps), lam, chi, lamchi
+    if name.startswith("x"):
+        return int(name[2:] or 1), "eps"
+    return 0, "eps" if name == "1" else name
+
+
 def cmd_ring_mul(args):
     alg = _load_algebra(args)
     node = parse(args.expr, alg)
@@ -178,16 +185,13 @@ def cmd_ring_mul(args):
     elif args.ring != GROTH:
         raise InvalidParameter("power bases apply to the Grothendieck ring; "
                                "use --ring groth")
-    elif args.basis == "x1":
-        poly = groth_to_x_basis(elt)
-        text = poly.format()
-        terms = [[deg, char, c]
-                 for deg in sorted(poly.terms, reverse=True)
-                 for char, c in sorted(poly.terms[deg].items())]
     else:
-        pairs = groth_to_x2_basis(elt)
+        pairs = (groth_to_x_basis if args.basis == "x1" else groth_to_x2_basis)(elt)
         text = format_basis_coords(pairs)
         terms = [[name, c] for name, c in pairs if c]
+        if args.basis == "x1":
+            terms = sorted(([*_x1_degree_char(name), c] for name, c in terms),
+                           key=lambda t: (-t[0], t[1]))
     if args.json:
         print(json.dumps({"ring": args.ring, "basis": args.basis,
                           "expr": args.expr, "result": text, "terms": terms}))

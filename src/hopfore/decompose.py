@@ -66,19 +66,6 @@ class DecompResult:
     def counter(self) -> Counter:
         return Counter(dict(self.multiset))
 
-    def to_json_dict(self) -> dict:
-        out = []
-        for lab, mult in self.multiset:
-            entry = {"kind": lab.kind, "t": lab.t, "i": lab.i, "mult": mult}
-            if lab.beta is not None:
-                entry["beta"] = lab.beta.to_literal()
-            out.append(entry)
-        return {
-            "summands": out,
-            "total_dim": self.total_dim,
-            "eigenvalues": [v.to_literal() for v in self.eigenvalues_found],
-        }
-
 
 def isotypic_multiplicities(m: ExplicitModule) -> dict:
     """Multiplicity of each simple inside m as a module over the group.

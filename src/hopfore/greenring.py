@@ -3,10 +3,12 @@
 Elements are stored as integer combinations of canonical labels: whole
 indecomposables for the Green ring, composition factors for the
 Grothendieck ring.  Products extend the closed tensor rules bilinearly.
-For the dihedral algebras this module also provides the polynomial views
-(the x-power basis of the group-ring part and its friends) and a
-verifier that recomputes every defining relation of the known
-presentations inside the concrete rings.
+For the dihedral algebras this module also provides the two power bases
+of the group-ring part, X_1 = {x^(m-1), ..., x, 1, lam, chi, lamchi} and
+the halved X_2: each is a list of named Grothendieck elements built from
+one list of x powers, and both convert through one exact solve.  A
+verifier recomputes every defining relation of the known presentations
+inside the concrete rings.
 """
 
 from collections import Counter
@@ -133,10 +135,14 @@ def groth_basis(alg, simple) -> RingElement:
     return RingElement(GROTH, alg, {simple: 1})
 
 
+def _is_trivial(alg, label) -> bool:
+    # the trivial simple is the one whose character is 1 at every class
+    char = alg.simple(label).char
+    return all(char[g] == 1 for g, _ in alg.group.classes)
+
+
 def unit(alg, ring) -> RingElement:
-    triv = alg.simples[0].label
-    if alg.simple(triv).dim != 1:
-        raise InternalInconsistency("first simple is not the trivial one")
+    triv = next(s.label for s in alg.simples if _is_trivial(alg, s.label))
     if ring == GREEN:
         return RingElement(GREEN, alg, {IndecLabel(NIL, 1, triv): 1})
     return RingElement(GROTH, alg, {SimpleLabel(TORSION, triv): 1})
@@ -185,7 +191,7 @@ def _term_text(alg, label) -> str:
     if isinstance(label, SimpleLabel):
         if label.kind == TORSION and alg.simple(label.i).dim == 1 \
                 and isinstance(label.i, str):
-            return "1" if label.i == alg.simples[0].label else label.i
+            return "1" if _is_trivial(alg, label.i) else label.i
         label = _lift(label)
     return format_label(label)
 
@@ -230,86 +236,121 @@ def eval_expr(alg, node, ring) -> RingElement:
     raise InvalidParameter(f"not an expression node: {node!r}")
 
 
-# -- the x-power basis of the group-ring part ----------------------------------
-
-CHARS = ("eps", "lam", "chi", "lamchi")
-
+# -- the x-power bases of the group-ring part ----------------------------------
+#
+# Both bases are ordered (display name, Grothendieck element) lists built from
+# one list of x powers, and both convert through one solve (_solve).
 
 def _require_dihedral(alg):
     if alg.kind != "dihedral":
         raise InvalidParameter("polynomial bases exist for the dihedral family")
 
 
-class Poly:
-    """Polynomial in x with coefficients in the character group ring.
+def _power_name(base, l) -> str:
+    return base if l == 1 else f"{base}^{l}"
 
-    terms maps degree -> {character label: integer}.  This is the X_1
-    display form of group-ring classes: 1, lam, chi, lamchi, x, ..., x^(m-1).
-    """
 
-    __slots__ = ("terms",)
+def _x_powers(alg, top):
+    """[1, x, x^2, ..., x^top] in the Grothendieck ring, top >= 1."""
+    x = _groth_char(alg, 1)
+    powers = [unit(alg, GROTH), x]
+    for _ in range(top - 1):
+        powers.append(ring_mul(powers[-1], x))
+    return powers
 
-    def __init__(self, terms=()):
-        clean = {}
-        for deg, coeff in dict(terms).items():
-            keep = {c: v for c, v in coeff.items() if v}
-            bad = [c for c in keep if c not in CHARS]
-            if bad:
-                raise InvalidParameter(f"not character labels: {bad}")
-            if keep:
-                clean[deg] = keep
-        self.terms = clean
 
-    @classmethod
-    def monomial(cls, deg, char="eps", coeff=1):
-        return cls({deg: {char: coeff}})
+def _x1_basis(alg, powers=None):
+    """X_1 in display order: x^(m-1), ..., x, 1, lam, chi, lamchi."""
+    m = alg.group.size // 4
+    powers = powers or _x_powers(alg, m - 1)
+    out = [(_power_name("x", l), powers[l]) for l in range(m - 1, 0, -1)]
+    return out + [("1", powers[0])] + [(c, _groth_char(alg, c))
+                                       for c in ("lam", "chi", "lamchi")]
 
-    def __add__(self, other):
-        out = {d: dict(c) for d, c in self.terms.items()}
-        for d, coeff in other.terms.items():
-            tgt = out.setdefault(d, {})
-            for c, v in coeff.items():
-                tgt[c] = tgt.get(c, 0) + v
-        return Poly(out)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
+def _x2_basis(alg, powers=None):
+    half = (alg.group.size // 4 - 1) // 2
+    powers = powers or _x_powers(alg, half)
+    chi = _groth_char(alg, "chi")
+    out = [("1", powers[0]), ("lam", _groth_char(alg, "lam")),
+           ("chi", chi), ("lamchi", _groth_char(alg, "lamchi"))]
+    out += [(_power_name("x", l), powers[l]) for l in range(1, half + 1)]
+    out += [(_power_name("chi*x", l), ring_mul(chi, powers[l]))
+            for l in range(1, half + 1)]
+    return out
 
-    def scale(self, k):
-        return Poly({d: {c: k * v for c, v in coeff.items()}
-                     for d, coeff in self.terms.items()})
 
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.terms == other.terms
+def x2_basis_elements(alg):
+    """The halved basis {1, lam, chi, lamchi, x^l, chi*x^l : 1 <= l <= (m-1)/2}
+    as (display name, Grothendieck element) pairs, in that order."""
+    _require_dihedral(alg)
+    return _x2_basis(alg)
 
-    def __bool__(self):
-        return bool(self.terms)
 
-    def degree(self):
-        return max(self.terms, default=-1)
+def _solve(basis, targets):
+    """Integer coordinates of each target in the basis, as (name, integer)
+    lists: [basis columns | target columns] is row-reduced over Q in one
+    sp_rref call, one row per label."""
+    n = len(basis)
+    columns = [e.coeffs for _, e in basis] + [t.coeffs for t in targets]
+    keys = sorted({k for col in columns for k in col}, key=str)
+    rows = [{c: Cyclotomic.rational(1, col[k]) for c, col in enumerate(columns)
+             if col.get(k)} for k in keys]
+    rows, pivots = sp_rref(rows, len(columns))
+    if pivots[:n] != list(range(n)):
+        raise InternalInconsistency("requested basis is linearly dependent")
+    if len(pivots) > n:
+        raise UnsupportedLabel("element lies outside the span of the requested basis")
+    out = []
+    for j in range(n, len(columns)):
+        coords = []
+        for (name, _), row in zip(basis, rows):
+            v = row.get(j)
+            if v is not None and v.den != 1:
+                raise InternalInconsistency("basis solve gave a non-integer coefficient")
+            coords.append((name, v.num[0] if v is not None else 0))
+        out.append(coords)
+    return out
 
-    def __repr__(self):
-        return f"Poly({self.format()!r})"
 
-    def format(self) -> str:
-        terms = []
-        for deg in sorted(self.terms, reverse=True):
-            coeff = self.terms[deg]
-            for char in CHARS:
-                v = coeff.get(char, 0)
-                if not v:
-                    continue
-                bits = []
-                if abs(v) != 1 or (char == "eps" and deg == 0):
-                    bits.append(str(abs(v)))
-                if char != "eps":
-                    bits.append(char)
-                if deg == 1:
-                    bits.append("x")
-                elif deg > 1:
-                    bits.append(f"x^{deg}")
-                terms.append((v < 0, "*".join(bits)))
-        return format_signed_sum(terms)
+def _evaluate(alg, basis, pairs) -> RingElement:
+    """The Grothendieck element sum c * basis[name] over (name, c) pairs."""
+    out = Counter()
+    for name, c in pairs:
+        if name not in basis:
+            raise InvalidParameter(f"{name!r} is not a power basis element")
+        for lab, v in basis[name].coeffs.items():
+            out[lab] += c * v
+    return RingElement(GROTH, alg, out)
+
+
+def _group_ring_coords(a: RingElement, which, build):
+    _require_dihedral(a.alg)
+    if a.ring != GROTH:
+        raise RingMismatch("x-basis conversion takes a Grothendieck element")
+    for lab in a.coeffs:
+        if lab.kind != TORSION:
+            raise UnsupportedLabel(
+                f"{_term_text(a.alg, lab)} is not a group simple; the {which} "
+                "basis covers only the group-ring part")
+    return _solve(build(a.alg), [a])[0]
+
+
+def groth_to_x_basis(a: RingElement):
+    """Coordinates in the power basis X_1, as (name, integer) pairs in the
+    order x^(m-1), ..., x, 1, lam, chi, lamchi."""
+    return _group_ring_coords(a, "power", _x1_basis)
+
+
+def x_basis_to_groth(alg, pairs) -> RingElement:
+    """Evaluate (name, integer) pairs over X_1 in the Grothendieck ring."""
+    _require_dihedral(alg)
+    return _evaluate(alg, dict(_x1_basis(alg)), pairs)
+
+
+def groth_to_x2_basis(a: RingElement):
+    """Coordinates in the halved basis, as ordered (name, integer) pairs."""
+    return _group_ring_coords(a, "halved", _x2_basis)
 
 
 def _int_coeff(num, den, binom) -> int:
@@ -321,85 +362,25 @@ def _int_coeff(num, den, binom) -> int:
     return int(v)
 
 
-def simple_to_x(alg, i) -> Poly:
-    """X_1 coordinates of one group simple class."""
-    _require_dihedral(alg)
-    alg.require_label(i)
-    if isinstance(i, str):
-        return Poly.monomial(0, i)
-    l = i
-    if l % 2:
-        r = (l + 1) // 2
-        out = Poly()
-        for k in range(r):
-            c = _int_coeff(2 * r - 1, 2 * r - 1 - 2 * k, comb(2 * r - 2 - k, k))
-            out += Poly.monomial(2 * r - 1 - 2 * k, coeff=(-1) ** k * c)
-        return out
-    r = l // 2
-    out = Poly()
-    for k in range(r):
-        c = _int_coeff(2 * r, 2 * r - k, comb(2 * r - k, k))
-        out += Poly.monomial(2 * r - 2 * k, coeff=(-1) ** k * c)
-    sign = (-1) ** r
-    out += Poly.monomial(0, "eps", sign) + Poly.monomial(0, "lam", sign)
-    return out
-
-
-def groth_to_x_basis(a: RingElement) -> Poly:
-    """Rewrite a group-ring Grothendieck element in the power basis."""
-    _require_dihedral(a.alg)
-    if a.ring != GROTH:
-        raise RingMismatch("x-basis conversion takes a Grothendieck element")
-    out = Poly()
-    for lab, c in a.coeffs.items():
-        if lab.kind != TORSION:
-            raise UnsupportedLabel(
-                f"{_term_text(a.alg, lab)} is not a group simple; the power "
-                "basis covers only the group-ring part")
-        out += simple_to_x(a.alg, lab.i).scale(c)
-    return out
-
-
-def x_basis_to_groth(alg, p: Poly) -> RingElement:
-    """Evaluate an x-polynomial in the Grothendieck ring (any degree)."""
-    _require_dihedral(alg)
-    out = RingElement(GROTH, alg, {})
-    xpow = unit(alg, GROTH)
-    x = _groth_char(alg, 1)
-    top = p.degree()
-    for deg in range(top + 1):
-        coeff = p.terms.get(deg, {})
-        for char, v in coeff.items():
-            if not v:
-                continue
-            cls = to_groth(green_basis(alg, IndecLabel(NIL, 1, char)))
-            out = out + ring_mul(cls, xpow).scale(v)
-        if deg < top:
-            xpow = ring_mul(xpow, x)
-    return out
-
-
-def f_poly(alg) -> Poly:
-    """The X_1 form of chi*x."""
+def f_poly(alg):
+    """The X_1 form of chi*x by its closed formula, as (name, integer) pairs."""
     _require_dihedral(alg)
     m = alg.group.size // 4
-    out = Poly()
-    for k in range((m - 1) // 2):
-        c = _int_coeff(m - 1, m - 1 - k, comb(m - 1 - k, k))
-        out += Poly.monomial(m - 1 - 2 * k, coeff=(-1) ** k * c)
+    out = [(_power_name("x", m - 1 - 2 * k),
+            (-1) ** k * _int_coeff(m - 1, m - 1 - k, comb(m - 1 - k, k)))
+           for k in range((m - 1) // 2)]
     sign = (-1) ** ((m - 1) // 2)
-    return out + Poly.monomial(0, "eps", sign) + Poly.monomial(0, "lam", sign)
+    return out + [("1", sign), ("lam", sign)]
 
 
-def g_poly(alg) -> Poly:
-    """The X_1 form of x^m."""
+def g_poly(alg):
+    """The X_1 form of x^m by its closed formula, as (name, integer) pairs."""
     _require_dihedral(alg)
     m = alg.group.size // 4
-    out = Poly()
-    for k in range(1, (m - 1) // 2 + 1):
-        c = _int_coeff(m, m - 2 * k, comb(m - 1 - k, k))
-        out += Poly.monomial(m - 2 * k, coeff=(-1) ** (k - 1) * c)
-    return out + Poly.monomial(0, "chi", 1) + Poly.monomial(0, "lamchi", 1)
+    out = [(_power_name("x", m - 2 * k),
+            (-1) ** (k - 1) * _int_coeff(m, m - 2 * k, comb(m - 1 - k, k)))
+           for k in range(1, (m - 1) // 2 + 1)]
+    return out + [("chi", 1), ("lamchi", 1)]
 
 
 def binomial_power_decomposition(alg, l) -> RingElement:
@@ -420,55 +401,6 @@ def binomial_power_decomposition(alg, l) -> RingElement:
         for j in range(1, r + 1):
             out[SimpleLabel(TORSION, 2 * j)] += comb(2 * r, r - j)
     return RingElement(GROTH, alg, out)
-
-
-def x2_basis_elements(alg):
-    """The halved basis {1, lam, chi, lamchi, x^l, chi*x^l : 1 <= l <= (m-1)/2}
-    as (display name, Grothendieck element) pairs, in that order."""
-    _require_dihedral(alg)
-    half = (alg.group.size // 4 - 1) // 2
-    chi = _groth_char(alg, "chi")
-    x = _groth_char(alg, 1)
-    powers = [unit(alg, GROTH)]
-    for _ in range(half):
-        powers.append(ring_mul(powers[-1], x))
-    out = [("1", powers[0]), ("lam", _groth_char(alg, "lam")),
-           ("chi", chi), ("lamchi", _groth_char(alg, "lamchi"))]
-    out += [("x" if l == 1 else f"x^{l}", powers[l]) for l in range(1, half + 1)]
-    out += [("chi*x" if l == 1 else f"chi*x^{l}", ring_mul(chi, powers[l]))
-            for l in range(1, half + 1)]
-    return out
-
-
-def groth_to_x2_basis(a: RingElement):
-    """Coordinates in the halved basis, as ordered (name, integer) pairs."""
-    _require_dihedral(a.alg)
-    if a.ring != GROTH:
-        raise RingMismatch("x-basis conversion takes a Grothendieck element")
-    for lab in a.coeffs:
-        if lab.kind != TORSION:
-            raise UnsupportedLabel(
-                f"{_term_text(a.alg, lab)} is not a group simple; the halved "
-                "basis covers only the group-ring part")
-    basis = x2_basis_elements(a.alg)
-    # Row-reduce [basis columns | target] over Q: one row per label.
-    n = len(basis)
-    columns = [e.coeffs for _, e in basis] + [a.coeffs]
-    keys = sorted({k for col in columns for k in col}, key=str)
-    rows = [{c: Cyclotomic.rational(1, col[k]) for c, col in enumerate(columns)
-             if col.get(k)} for k in keys]
-    rows, pivots = sp_rref(rows, n + 1)
-    if pivots[:n] != list(range(n)):
-        raise InternalInconsistency("requested basis is linearly dependent")
-    if n in pivots:
-        raise UnsupportedLabel("element lies outside the span of the requested basis")
-    out = []
-    for (name, _), row in zip(basis, rows):
-        v = row.get(n)
-        if v is not None and v.den != 1:
-            raise InternalInconsistency("basis solve gave a non-integer coefficient")
-        out.append((name, v.num[0] if v is not None else 0))
-    return out
 
 
 def format_basis_coords(pairs) -> str:
@@ -520,14 +452,11 @@ class _Report:
         self.entries = []
 
     def check(self, name, lhs, rhs):
-        same = lhs == rhs
-        fmt = (lambda v: v.format() if isinstance(v, Poly)
-               else format_element(v) if isinstance(v, RingElement) else str(v))
         self.entries.append({
             "identity": name,
-            "status": "pass" if same else "fail",
-            "lhs": fmt(lhs),
-            "rhs": fmt(rhs),
+            "status": "pass" if lhs == rhs else "fail",
+            "lhs": format_element(lhs),
+            "rhs": format_element(rhs),
         })
 
     def flag(self, name, ok, detail=""):
@@ -540,31 +469,26 @@ class _Report:
 
 
 def _verify_groth_kdn(alg, rep: _Report):
-    x = _groth_char(alg, 1)
+    m = alg.group.size // 4
+    powers = _x_powers(alg, m - 1)
+    x1 = _x1_basis(alg, powers)
+    basis = dict(x1)
+    x = powers[1]
     lam = _groth_char(alg, "lam")
     chi = _groth_char(alg, "chi")
     rep.check("lam*x == x", ring_mul(lam, x), x)
-    rep.check("chi*x == f(x)", ring_mul(chi, x), x_basis_to_groth(alg, f_poly(alg)))
-    m = alg.group.size // 4
-    rep.check("x^m == g(x)", x ** m, x_basis_to_groth(alg, g_poly(alg)))
-    # the power basis is a basis: rewriting is inverse to evaluation
-    ok = True
-    for simple in alg.simples:
-        e = groth_basis(alg, SimpleLabel(TORSION, simple.label))
-        if x_basis_to_groth(alg, groth_to_x_basis(e)) != e:
-            ok = False
-    # the basis has characters at degree 0 only, pure powers above
-    for char in CHARS:
-        p = Poly.monomial(0, char)
-        if groth_to_x_basis(x_basis_to_groth(alg, p)) != p:
-            ok = False
-    for deg in range(1, m):
-        p = Poly.monomial(deg)
-        if groth_to_x_basis(x_basis_to_groth(alg, p)) != p:
-            ok = False
-    rep.flag("power basis round trip", ok)
+    rep.check("chi*x == f(x)", ring_mul(chi, x), _evaluate(alg, basis, f_poly(alg)))
+    rep.check("x^m == g(x)", ring_mul(powers[m - 1], x),
+              _evaluate(alg, basis, g_poly(alg)))
+    # the power basis is a basis: rewriting each simple and evaluating the
+    # coordinates gives the simple back
+    simples = [groth_basis(alg, SimpleLabel(TORSION, simple.label))
+               for simple in alg.simples]
+    rep.flag("power basis round trip",
+             all(_evaluate(alg, basis, coords) == e
+                 for coords, e in zip(_solve(x1, simples), simples)))
     # the halved basis {1, lam, chi, lamchi, x^l, chi*x^l} is unimodular
-    rows = [dict(e.coeffs) for _, e in x2_basis_elements(alg)]
+    rows = [dict(e.coeffs) for _, e in _x2_basis(alg, powers)]
     rep.flag("halved power basis is unimodular", _unimodular(rows))
 
 
@@ -587,17 +511,12 @@ def _verify_groth_h(alg, rep: _Report, betas):
                 rep.check(f"y[{sll}]*y[{slr}] == 2*y[{total.to_literal()}]",
                           ring_mul(ys[a], ys[b]), ys[total].scale(2))
     # finite check of the free-part basis: {lam*y_b, x^l*y_b} per eigenvalue
-    m = alg.group.size // 4
-    x = _groth_char(alg, 1)
+    powers = _x_powers(alg, (alg.group.size // 4 - 1) // 2)
     lam = _groth_char(alg, "lam")
     ok = True
     for b in betas:
-        rows = [dict(ring_mul(lam, ys[b]).coeffs)]
-        cur = ys[b]
-        rows.append(dict(cur.coeffs))
-        for _ in range(1, (m - 1) // 2 + 1):
-            cur = ring_mul(x, cur)
-            rows.append(dict(cur.coeffs))
+        rows = [dict(ring_mul(lam, ys[b]).coeffs), dict(ys[b].coeffs)]
+        rows += [dict(ring_mul(p, ys[b]).coeffs) for p in powers[1:]]
         if not _unimodular(rows):
             ok = False
     rep.flag("free-part basis is unimodular per eigenvalue", ok)

@@ -109,6 +109,17 @@ def c4():
 
 
 @pytest.fixture(scope="session")
+def c4_reordered(c4):
+    """C_4 as a descriptor with its simples listed c1, c0, c2, c3, so that
+    the trivial simple c0 is not the first one."""
+    desc = dict(c4.descriptor)
+    simples = list(desc["simples"])
+    simples[0], simples[1] = simples[1], simples[0]
+    desc["simples"] = simples
+    return desc
+
+
+@pytest.fixture(scope="session")
 def c8():
     return cyclic_algebra(8, 2)
 

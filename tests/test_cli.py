@@ -89,6 +89,23 @@ def test_ring_mul_x1_basis(capsys):
     assert out.strip() == "x^3 - 3*x"
 
 
+def test_ring_mul_x1_basis_json(capsys):
+    # terms are [degree, character, coefficient]: degree descending, then
+    # character name ascending
+    expected = {
+        "V[1](4)": ("x^4 - 4*x^2 + 1 + lam",
+                    [[4, "eps", 1], [2, "eps", -4], [0, "eps", 1], [0, "lam", 1]]),
+        "x^7": ("22*x^3 - 31*x + 7*chi + 7*lamchi",
+                [[3, "eps", 22], [1, "eps", -31], [0, "chi", 7], [0, "lamchi", 7]]),
+    }
+    for expr, (result, terms) in expected.items():
+        code, out, _ = run(capsys, ["ring", "mul", "--ring", "groth", "--m", "5",
+                                    "--expr", expr, "--basis", "x1", "--json"])
+        assert code == 0
+        assert json.loads(out) == {"ring": "groth", "basis": "x1", "expr": expr,
+                                   "result": result, "terms": terms}
+
+
 def test_ring_mul_x2_basis(capsys):
     code, out, _ = run(capsys, ["ring", "mul", "--ring", "groth",
                                 "--expr", "x^2", "--basis", "x2", "--json"])
@@ -220,6 +237,50 @@ def test_custom_algebra_file(tmp_path, capsys, c4):
                                 "--left", "V[10](c1)", "--right", "V[7](c2)"])
     assert code == 0
     assert "V[16](c3)" in out and "V[10](c2)" in out
+
+
+def test_ring_mul_custom_unit(tmp_path, capsys, c4_reordered):
+    # the trivial simple c0 is listed second: integers are multiples of it
+    desc = tmp_path / "alg.json"
+    desc.write_text(json.dumps(c4_reordered))
+    for ring, expr, want in (("groth", "2*V[1](c2)", "2*c2"),
+                             ("groth", "1*V[1](c2)", "c2"),
+                             ("groth", "V[1](c1)*V[1](c3)", "1"),
+                             ("green", "2*V[1](c2)", "2*V[1](c2)")):
+        code, out, err = run(capsys, ["ring", "mul", "--algebra", str(desc),
+                                      "--ring", ring, "--expr", expr])
+        assert (expr, code, out, err) == (expr, 0, want + "\n", "")
+
+
+def test_power_bases_need_a_dihedral_algebra(tmp_path, capsys, c4):
+    desc = tmp_path / "alg.json"
+    desc.write_text(json.dumps(c4.descriptor))
+    alg = ["--algebra", str(desc)]
+    for argv in (["ring", "mul", *alg, "--ring", "groth", "--expr", "V[1](c1)",
+                  "--basis", "x1"],
+                 ["ring", "mul", *alg, "--ring", "groth", "--expr", "V[1](c1)",
+                  "--basis", "x2"],
+                 ["verify", "presentation", *alg]):
+        code, out, err = run(capsys, argv)
+        assert (argv, code, out) == (argv, 2, "")
+        assert err == "error: polynomial bases exist for the dihedral family\n"
+
+
+def test_power_basis_solve_failure_exits_1(capsys, monkeypatch):
+    from hopfore import greenring
+
+    real = greenring._x1_basis
+
+    def dependent(alg, powers=None):
+        basis = real(alg, powers)
+        return basis[:-1] + [("lamchi", basis[0][1])]
+
+    monkeypatch.setattr(greenring, "_x1_basis", dependent)
+    for argv in (["verify", "presentation", "--m", "5"],
+                 ["ring", "mul", "--ring", "groth", "--expr", "x", "--basis", "x1"]):
+        code, out, err = run(capsys, argv)
+        assert (argv, code, out) == (argv, 1, "")
+        assert err == "inconsistency: requested basis is linearly dependent\n"
 
 
 def _c4_descriptor(**changes):

@@ -5,13 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfore.cyclotomic import Rational
-from hopfore.errors import RingMismatch, UnsupportedLabel
-from hopfore.greenring import (
-    GREEN, GROTH, Poly, RingElement, binomial_power_decomposition, eval_expr,
-    f_poly, format_basis_coords, format_element, g_poly, green_basis,
-    groth_basis, groth_to_x2_basis, groth_to_x_basis, ring_mul, simple_to_x,
-    to_groth, unit, verify_presentation, x_basis_to_groth, _unimodular,
+from hopfore.errors import (
+    InternalInconsistency, InvalidParameter, RingMismatch, UnsupportedLabel,
 )
+from hopfore.greenring import (
+    GREEN, GROTH, RingElement, binomial_power_decomposition, eval_expr,
+    f_poly, format_basis_coords, format_element, g_poly, green_basis,
+    groth_basis, groth_to_x2_basis, groth_to_x_basis, ring_mul, to_groth,
+    unit, verify_presentation, x_basis_to_groth, _unimodular,
+)
+from hopfore.groups import algebra_from_descriptor
 from hopfore.labels import (
     EIG, NIL, TORSION, IndecLabel, SimpleLabel, canonicalize,
 )
@@ -83,15 +86,45 @@ def test_to_groth_is_composition_series(alg3):
                         SimpleLabel(TORSION, "chi"): 1}
 
 
-def test_simple_to_x_frozen(alg5):
-    assert simple_to_x(alg5, 3).format() == "x^3 - 3*x"
-    assert simple_to_x(alg5, 4).format() == "x^4 - 4*x^2 + 1 + lam"
-    assert simple_to_x(alg5, "chi").format() == "chi"
+def test_unit_is_the_trivial_simple(c4_reordered):
+    # the trivial simple c0 is listed second; the unit and the text "1" are
+    # found by its character, not by its position
+    alg = algebra_from_descriptor(c4_reordered)
+    assert alg.labels[:2] == ("c1", "c0")
+    assert unit(alg, GROTH).coeffs == {SimpleLabel(TORSION, "c0"): 1}
+    assert unit(alg, GREEN).coeffs == {IndecLabel(NIL, 1, "c0"): 1}
+    c2 = ev(alg, "V[1](c2)", GROTH)
+    assert ev(alg, "2*V[1](c2)", GROTH) == c2.scale(2)
+    assert ev(alg, "1*V[1](c2)", GROTH) == c2
+    assert ev(alg, "V[1](c2)", GROTH) ** 0 == unit(alg, GROTH)
+    assert format_element(ev(alg, "V[1](c1) + 3 + V[2](c1)", GROTH)) == "2*c1 + 3 + c2"
+
+
+def test_x_basis_frozen(alg5):
+    def x1(i):
+        return format_basis_coords(groth_to_x_basis(groth_basis(alg5, SimpleLabel(TORSION, i))))
+
+    assert x1(3) == "x^3 - 3*x"
+    assert x1(4) == "x^4 - 4*x^2 + 1 + lam"
+    assert x1("chi") == "chi"
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9])
+def test_x_basis_of_binomial_powers(m):
+    # the closed multiset form of x^l, l <= m-1, has the single coordinate x^l
+    from hopfore.groups import dihedral_algebra
+
+    alg = dihedral_algebra(m)
+    for l in range(1, m):
+        coords = groth_to_x_basis(binomial_power_decomposition(alg, l))
+        assert [(n, c) for n, c in coords if c] == [("x" if l == 1 else f"x^{l}", 1)]
+    assert [n for n, _ in coords] == [f"x^{l}" for l in range(m - 1, 1, -1)] + [
+        "x", "1", "lam", "chi", "lamchi"]
 
 
 def test_f_g_frozen(alg3):
-    assert f_poly(alg3).format() == "x^2 - 1 - lam"
-    assert g_poly(alg3).format() == "3*x + chi + lamchi"
+    assert format_basis_coords(f_poly(alg3)) == "x^2 - 1 - lam"
+    assert format_basis_coords(g_poly(alg3)) == "3*x + chi + lamchi"
 
 
 def test_f_g_are_images(alg3, alg5):
@@ -117,6 +150,22 @@ def test_x_basis_round_trips(alg5):
     x = ev(alg5, "x", GROTH)
     for elt in (x ** 3, x ** 7, ev(alg5, "chi*x^2 - 4*V[1](3)", GROTH)):
         assert x_basis_to_groth(alg5, groth_to_x_basis(elt)) == elt
+
+
+def test_x_basis_solve_failures(alg5, monkeypatch):
+    from hopfore import greenring
+
+    with pytest.raises(InvalidParameter):
+        x_basis_to_groth(alg5, [("x^5", 1)])
+    # doubling the element named x makes the coordinate of x one half
+    real = greenring._x1_basis
+    monkeypatch.setattr(greenring, "_x1_basis", lambda alg, powers=None: [
+        (n, e.scale(2) if n == "x" else e) for n, e in real(alg, powers)])
+    with pytest.raises(InternalInconsistency, match="non-integer"):
+        groth_to_x_basis(ev(alg5, "x", GROTH))
+    assert groth_to_x_basis(ev(alg5, "2*x", GROTH))[3] == ("x", 1)
+    with pytest.raises(InternalInconsistency, match="non-integer"):
+        verify_presentation(alg5, which="groth_kDn")
 
 
 def test_x_basis_rejects_free_part(alg3):
@@ -156,12 +205,6 @@ def test_presentation_suites_pass(alg3):
     for which in ("groth_kDn", "groth_H", "green_R", "green_H"):
         rep = verify_presentation(alg3, which=which, betas=betas, t_max=4)
         assert rep["ok"], rep
-
-
-def test_poly_format():
-    p = Poly.monomial(3) - Poly.monomial(1, coeff=2) + Poly.monomial(0, "chi")
-    assert p.format() == "x^3 - 2*x + chi"
-    assert Poly().format() == "0"
 
 
 _greens = st.sampled_from(["x", "y", "z", "chi", "lam", "V[2](1)", "V[4](lam)",
