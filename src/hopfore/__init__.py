@@ -35,7 +35,7 @@ from .modules import (
     ExplicitModule, direct_sum, module_eigen, module_nilpotent, tensor,
     validate, zero_module,
 )
-from .syntax import format_label, format_multiset, parse, parse_cyclotomic, parse_label
+from .syntax import format_label, format_multiset, parse_cyclotomic, parse_label
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,7 @@ __all__ = [
     "eval_expr", "format_element", "format_label", "format_multiset",
     "fusion_coeffs", "green_basis", "grid_labels", "groth_basis",
     "groth_to_x2_basis", "groth_to_x_basis", "isotypic_multiplicities",
-    "label_dim", "module_eigen", "module_nilpotent", "multiset_dim", "parse",
+    "label_dim", "module_eigen", "module_nilpotent", "multiset_dim",
     "parse_cyclotomic", "parse_label", "radical_length", "ring_mul",
     "run_grid", "simple_restriction", "tensor", "tensor_labels", "to_groth",
     "unit", "validate", "verify_presentation", "x_basis_to_groth",

@@ -54,7 +54,7 @@ from .grid import build_module, grid_labels, run_grid
 from .groups import algebra_from_descriptor, dihedral_algebra
 from .labels import sorted_items
 from .modules import tensor
-from .syntax import format_label, format_multiset, parse, parse_cyclotomic, parse_label
+from .syntax import format_label, format_multiset, parse_cyclotomic, parse_label
 
 _USAGE_ERRORS = (
     ExprSyntaxError, UnknownLabel, UnsupportedLabel, InvalidParameter, ZeroBeta,
@@ -177,11 +177,10 @@ def _x1_degree_char(name):
 
 def cmd_ring_mul(args):
     alg = _load_algebra(args)
-    node = parse(args.expr, alg)
-    elt = eval_expr(alg, node, args.ring)
+    elt = eval_expr(alg, args.expr, args.ring)
     if args.basis == "canonical":
         text = format_element(elt)
-        terms = [[_term_text(alg, lab), c] for lab, c in elt.sorted_items()]
+        terms = [[_term_text(alg, lab), c] for lab, c in sorted_items(alg, elt.coeffs)]
     elif args.ring != GROTH:
         raise InvalidParameter("power bases apply to the Grothendieck ring; "
                                "use --ring groth")

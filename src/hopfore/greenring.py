@@ -32,12 +32,10 @@ from .labels import (
     SimpleLabel,
     canonical_simple,
     canonicalize,
-    label_sort_key,
+    sorted_items,
 )
 from .linalg import sp_rref
-from .syntax import (
-    BinNode, IntNode, LabelNode, NegNode, PowNode, format_label, format_signed_sum,
-)
+from .syntax import evaluate, format_label, format_signed_sum
 
 GREEN = "green"
 GROTH = "groth"
@@ -120,10 +118,6 @@ class RingElement:
     def __repr__(self):
         return f"<{self.ring} {format_element(self)}>"
 
-    def sorted_items(self):
-        return sorted(self.coeffs.items(),
-                      key=lambda kv: label_sort_key(self.alg, kv[0]))
-
 
 def green_basis(alg, label) -> RingElement:
     label = canonicalize(alg, label.kind, label.t, label.i, label.beta)
@@ -199,7 +193,7 @@ def _term_text(alg, label) -> str:
 def format_element(elt: RingElement) -> str:
     """Deterministic text form, e.g. '1 + lam + V[1](2)' or '2*V[2](eps;1)'."""
     terms = []
-    for label, c in elt.sorted_items():
+    for label, c in sorted_items(elt.alg, elt.coeffs):
         body = _term_text(elt.alg, label)
         mag = abs(c)
         if body == "1":
@@ -214,26 +208,16 @@ def format_element(elt: RingElement) -> str:
 
 # -- expression evaluation ------------------------------------------------------
 
-def eval_expr(alg, node, ring) -> RingElement:
-    """Evaluate a parsed expression tree in the chosen ring."""
-    if isinstance(node, IntNode):
-        return unit(alg, ring).scale(node.value)
-    if isinstance(node, LabelNode):
-        g = green_basis(alg, node.label)
+def eval_expr(alg, src, ring) -> RingElement:
+    """Evaluate the text of a ring expression in the chosen ring."""
+
+    def value(atom):
+        if isinstance(atom, int):
+            return unit(alg, ring).scale(atom)
+        g = green_basis(alg, atom)
         return g if ring == GREEN else to_groth(g)
-    if isinstance(node, NegNode):
-        return -eval_expr(alg, node.arg, ring)
-    if isinstance(node, PowNode):
-        return eval_expr(alg, node.base, ring) ** node.power
-    if isinstance(node, BinNode):
-        left = eval_expr(alg, node.left, ring)
-        right = eval_expr(alg, node.right, ring)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
-    raise InvalidParameter(f"not an expression node: {node!r}")
+
+    return evaluate(src, alg, value)
 
 
 # -- the x-power bases of the group-ring part ----------------------------------

@@ -201,9 +201,10 @@ def tensor(m: ExplicitModule, n: ExplicitModule) -> ExplicitModule:
     a_on_n = n.element_action(alg.central)
     x_action = (m.x_action.tensor_product(a_on_n)
                 + Matrix.identity(alg.field_order, m.dim).tensor_product(n.x_action))
-    omegas = {alg.omega_s(l) for l in alg.labels} | {alg.scalar(1)}
+    # x^s acts as x^s (.) a^s + 1 (.) x^s with commuting terms, and a^s acts
+    # on a composition factor V_i by omega_i^s (1 for the trivial simple)
+    omegas = {alg.omega_s(l) for l in alg.labels}
     prov = {u * va + vb for va in m.provenance for vb in n.provenance for u in omegas}
-    prov |= m.provenance | n.provenance
     prod = ExplicitModule(alg, gen_actions, x_action, prov)
     object.__setattr__(prod, "factors", (m, n))
     return prod

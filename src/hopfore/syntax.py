@@ -1,22 +1,24 @@
 """Text forms: cyclotomic literals, module labels, ring expressions.
 
-Grammar (whitespace insignificant):
+Grammar (whitespace insignificant).  Ring expressions and cyclotomic
+literals share one precedence chain and differ only in their atoms:
 
-    expr   := ["-"] term (("+"|"-") term)*
+    sum    := ["-"] term (("+"|"-") term)*
     term   := factor ("*" factor)*
-    factor := atom ("^" uint)?
-    atom   := uint | name | label | "(" expr ")"
-    label  := "V" "[" uint "]" "(" simple (";" cyclo)? ")"
-    simple := name | uint
-    cyclo  := ["-"] cterm (("+"|"-") cterm)*
-    cterm  := cfactor ("*" cfactor)*
-    cfactor:= catom ("^" uint)?
-    catom  := uint ("/" uint)? | "w" | "(" cyclo ")"
+    factor := ("(" sum ")" | atom) ("^" uint)?
 
-Bare names are simple labels of the algebra, meaning V[1](name).  The
-dihedral algebras additionally accept x, y, z, y[b], w[b] shorthands.
-Labels are canonicalized while parsing, so printing is a left inverse
-of parsing on canonical forms.
+    ring atom   := uint | name | label
+    label       := "V" "[" uint "]" "(" simple (";" cyclo)? ")"
+    simple      := name | uint
+    cyclo       := sum over scalar atoms
+    scalar atom := uint ("/" uint)? | "w"
+
+A ring expression is read and evaluated in one pass: the caller maps
+each ring atom to a ring value.  parse_label reads one ring atom inside
+any number of parentheses.  Bare names are simple labels of the algebra,
+meaning V[1](name).  The dihedral algebras additionally accept x, y, z,
+y[b], w[b] shorthands.  Labels are canonicalized while parsing, so
+printing is a left inverse of parsing on canonical forms.
 """
 
 from dataclasses import dataclass
@@ -99,9 +101,43 @@ class _Cursor:
         return int(self.expect("INT", what).text)
 
 
+# -- the precedence chain, shared by both languages ---------------------------
+
+def _sum(ts, atom):
+    neg = ts.eat("-")
+    v = _term(ts, atom)
+    if neg:
+        v = -v
+    while True:
+        if ts.eat("+"):
+            v = v + _term(ts, atom)
+        elif ts.eat("-"):
+            v = v - _term(ts, atom)
+        else:
+            return v
+
+
+def _term(ts, atom):
+    v = _factor(ts, atom)
+    while ts.eat("*"):
+        v = v * _factor(ts, atom)
+    return v
+
+
+def _factor(ts, atom):
+    if ts.eat("("):
+        v = _sum(ts, atom)
+        ts.expect(")")
+    else:
+        v = atom(ts)
+    if ts.eat("^"):
+        return v ** ts.uint("an exponent")
+    return v
+
+
 # -- cyclotomic literals ----------------------------------------------------
 
-def _cyclo_atom(ts, order):
+def _scalar_atom(ts, order):
     tok = ts.peek()
     if tok.kind == "INT":
         ts.next()
@@ -116,80 +152,24 @@ def _cyclo_atom(ts, order):
     if tok.kind == "NAME" and tok.text == "w":
         ts.next()
         return Cyclotomic.zeta(order)
-    if ts.eat("("):
-        v = _cyclo_sum(ts, order)
-        ts.expect(")")
-        return v
     raise ExprSyntaxError(
         f"expected a rational, 'w' or '(', got {tok.text or 'end of input'!r}",
         tok.pos)
 
 
-def _cyclo_factor(ts, order):
-    v = _cyclo_atom(ts, order)
-    if ts.eat("^"):
-        return v ** ts.uint("an exponent")
-    return v
-
-
-def _cyclo_term(ts, order):
-    v = _cyclo_factor(ts, order)
-    while ts.eat("*"):
-        v = v * _cyclo_factor(ts, order)
-    return v
-
-
-def _cyclo_sum(ts, order):
-    neg = ts.eat("-")
-    v = _cyclo_term(ts, order)
-    if neg:
-        v = -v
-    while True:
-        if ts.eat("+"):
-            v = v + _cyclo_term(ts, order)
-        elif ts.eat("-"):
-            v = v - _cyclo_term(ts, order)
-        else:
-            return v
+def _scalar(ts, order):
+    return _sum(ts, lambda t: _scalar_atom(t, order))
 
 
 def parse_cyclotomic(order, src) -> Cyclotomic:
     """Parse a field literal such as '2', '-1/3', 'w^2 - w + 1/2'."""
     ts = _Cursor(src)
-    v = _cyclo_sum(ts, order)
+    v = _scalar(ts, order)
     ts.expect("END", "end of literal")
     return v
 
 
 # -- ring expressions ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class IntNode:
-    value: int
-
-
-@dataclass(frozen=True)
-class LabelNode:
-    label: IndecLabel
-
-
-@dataclass(frozen=True)
-class NegNode:
-    arg: object
-
-
-@dataclass(frozen=True)
-class BinNode:
-    op: str  # +, -, *
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class PowNode:
-    base: object
-    power: int
-
 
 def _parse_label_tail(ts, alg, vtok):
     # cursor sits just after the "V" name
@@ -212,7 +192,7 @@ def _parse_label_tail(ts, alg, vtok):
         raise UnknownLabel(f"no simple labelled {simple!r}")
     if ts.eat(";"):
         btok = ts.peek()
-        beta = _cyclo_sum(ts, alg.field_order)
+        beta = _scalar(ts, alg.field_order)
         ts.expect(")")
         if not beta:
             raise ExprSyntaxError(
@@ -228,7 +208,7 @@ def _alias_eigen(ts, alg):
     # y[b] / w[b] are V[1](eps;b)
     ts.expect("[")
     btok = ts.peek()
-    beta = _cyclo_sum(ts, alg.field_order)
+    beta = _scalar(ts, alg.field_order)
     ts.expect("]")
     if not beta:
         raise ExprSyntaxError("eigenvalue shorthand needs a nonzero value",
@@ -236,80 +216,55 @@ def _alias_eigen(ts, alg):
     return canonicalize(alg, EIG, 1, "eps", beta)
 
 
-def _atom(ts, alg):
+def _ring_atom(ts, alg):
+    """An int literal or a canonical module label."""
     tok = ts.peek()
     if tok.kind == "INT":
         ts.next()
-        return IntNode(int(tok.text))
-    if ts.eat("("):
-        node = _expr_sum(ts, alg)
-        ts.expect(")")
-        return node
+        return int(tok.text)
     if tok.kind != "NAME":
         raise ExprSyntaxError(
             f"expected a value, got {tok.text or 'end of input'!r}", tok.pos)
     ts.next()
     name = tok.text
     if name == "V" and ts.peek().kind == "[":
-        return LabelNode(_parse_label_tail(ts, alg, tok))
+        return _parse_label_tail(ts, alg, tok)
     if alg.kind == "dihedral":
         if name in ("y", "w") and ts.peek().kind == "[":
-            return LabelNode(_alias_eigen(ts, alg))
+            return _alias_eigen(ts, alg)
         if name == "x":
-            return LabelNode(canonicalize(alg, NIL, 1, 1))
+            return canonicalize(alg, NIL, 1, 1)
         if name == "y":
-            return LabelNode(canonicalize(alg, NIL, 2, "eps"))
+            return canonicalize(alg, NIL, 2, "eps")
         if name == "z":
-            return LabelNode(canonicalize(alg, NIL, 3, "eps"))
+            return canonicalize(alg, NIL, 3, "eps")
     if name in alg.label_index:
-        return LabelNode(canonicalize(alg, NIL, 1, name))
+        return canonicalize(alg, NIL, 1, name)
     raise UnknownLabel(f"no simple labelled {name!r}")
 
 
-def _factor(ts, alg):
-    node = _atom(ts, alg)
-    if ts.eat("^"):
-        return PowNode(node, ts.uint("an exponent"))
-    return node
-
-
-def _term(ts, alg):
-    node = _factor(ts, alg)
-    while ts.eat("*"):
-        node = BinNode("*", node, _factor(ts, alg))
-    return node
-
-
-def _expr_sum(ts, alg):
-    neg = ts.eat("-")
-    node = _term(ts, alg)
-    if neg:
-        node = NegNode(node)
-    while True:
-        if ts.eat("+"):
-            node = BinNode("+", node, _term(ts, alg))
-        elif ts.eat("-"):
-            node = BinNode("-", node, _term(ts, alg))
-        else:
-            return node
-
-
-def parse(src, alg):
-    """Parse a ring expression over module labels; returns the syntax tree."""
+def evaluate(src, alg, value):
+    """Evaluate a ring expression while reading it: each atom (an int or a
+    canonical label) becomes value(atom), combined with + - * and ^."""
     ts = _Cursor(src)
-    node = _expr_sum(ts, alg)
+    v = _sum(ts, lambda t: value(_ring_atom(t, alg)))
     ts.expect("END", "end of expression")
-    return node
+    return v
 
 
 def parse_label(src, alg) -> IndecLabel:
-    """Parse exactly one module label (or shorthand)."""
+    """Parse exactly one module label (or shorthand), possibly in parentheses."""
     ts = _Cursor(src)
-    node = _atom(ts, alg)
+    depth = 0
+    while ts.eat("("):
+        depth += 1
+    label = _ring_atom(ts, alg)
+    for _ in range(depth):
+        ts.expect(")")
     ts.expect("END", "end of label")
-    if not isinstance(node, LabelNode):
+    if not isinstance(label, IndecLabel):
         raise ExprSyntaxError("expected a single module label", 0)
-    return node.label
+    return label
 
 
 # -- printing -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command line behavior: outputs, JSON shapes, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +138,17 @@ def test_ring_mul_bad_expr(capsys):
                                 "--expr", "x + "])
     assert code == 2
     assert "error" in err
+
+
+def test_ring_mul_corpus(capsys):
+    # recorded `ring mul` runs at m = 3: ten expressions in both rings, every
+    # basis, text and --json, then four syntax errors and an unknown label,
+    # each with its exact stdout, stderr and exit code
+    corpus = Path(__file__).parent / "data" / "ring_mul_corpus.json"
+    for case in json.loads(corpus.read_text()):
+        code, out, err = run(capsys, case["argv"])
+        assert (case["argv"], code, out, err) == (
+            case["argv"], case["code"], case["stdout"], case["stderr"])
 
 
 def test_zero_beta_guidance(capsys):
@@ -347,6 +359,8 @@ BAD_LABELS = {
     "unclosed": "V[1](eps",
     "zero-beta": "V[1](1;0)",
     "empty": "",
+    "integer": "3",
+    "parenthesized-sum": "(x+y)",
 }
 
 

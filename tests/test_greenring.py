@@ -18,11 +18,10 @@ from hopfore.groups import algebra_from_descriptor
 from hopfore.labels import (
     EIG, NIL, TORSION, IndecLabel, SimpleLabel, canonicalize,
 )
-from hopfore.syntax import parse
 
 
 def ev(alg, src, ring=GREEN):
-    return eval_expr(alg, parse(src, alg), ring)
+    return eval_expr(alg, src, ring)
 
 
 def test_element_arithmetic(alg3):

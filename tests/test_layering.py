@@ -55,6 +55,13 @@ def test_closed_rules_do_not_reach_oracle():
     assert not reach & {"decompose", "modules"}, sorted(reach)
 
 
+def test_syntax_reaches_neither_ring_nor_route():
+    # the parser maps atoms through a caller's function instead of
+    # building ring elements or modules itself
+    reach = _closure("syntax")
+    assert {"cyclotomic", "labels"} <= reach
+    assert not reach & {"greenring", "fusion", "decompose", "modules"}, sorted(reach)
+
 
 def _unused_package_imports(name: str) -> list:
     """Names hopfore.<name> imports from another package module and never

@@ -95,10 +95,8 @@ def test_tensor_provenance_closure(alg3):
     a = module_eigen(alg3, 1, "eps", 2)
     b = module_eigen(alg3, 1, 1, 3)
     prod = tensor(a, b)
-    # sums u*2 + 3 for u in {omega_i^s} union {1}; here omega^s is +-1... all 1
-    assert alg3.scalar(5) in prod.provenance
-    assert alg3.scalar(2) in prod.provenance
-    assert alg3.scalar(3) in prod.provenance
+    # exactly u*2 + 3 for u in {omega_i^s}, which is {1} at m = 3
+    assert prod.provenance == {alg3.scalar(5)}
 
 
 def test_tensor_mismatch(alg3, alg5):

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from hopfore.cyclotomic import Cyclotomic, Rational
 from hopfore.errors import ExprSyntaxError, UnknownLabel
 from hopfore.labels import EIG, NIL, IndecLabel, canonicalize
-from hopfore.syntax import (
-    BinNode, IntNode, LabelNode, PowNode, format_label, format_multiset,
-    parse, parse_cyclotomic, parse_label,
-)
+from hopfore.greenring import GREEN, GROTH, eval_expr, green_basis, to_groth, unit
+from hopfore.syntax import format_label, format_multiset, parse_cyclotomic, parse_label
 
 
 def test_cyclotomic_literals():
@@ -76,25 +74,31 @@ def test_aliases_only_for_dihedral(c4):
         parse_label("x", c4)
 
 
-def test_expression_ast(alg3):
-    node = parse("x^3 - 3*x", alg3)
-    assert isinstance(node, BinNode) and node.op == "-"
-    assert isinstance(node.left, PowNode) and node.left.power == 3
-    assert isinstance(node.right, BinNode) and node.right.op == "*"
-    assert isinstance(node.right.left, IntNode)
-    assert node.right.left.value == 3
+def test_expression_precedence(alg3):
+    x = to_groth(green_basis(alg3, IndecLabel(NIL, 1, 1)))
+    assert eval_expr(alg3, "x^3 - 3*x", GROTH) == x * x * x - x.scale(3)
+    assert eval_expr(alg3, "-x^2", GROTH) == -(x ** 2)
+    assert eval_expr(alg3, "2*3", GREEN) == unit(alg3, GREEN).scale(6)
 
 
 def test_expression_errors_have_positions(alg3):
     with pytest.raises(ExprSyntaxError) as err:
-        parse("x + ", alg3)
+        eval_expr(alg3, "x + ", GREEN)
     assert "position" in str(err.value)
     with pytest.raises(ExprSyntaxError):
-        parse("x ^ -2", alg3)
+        eval_expr(alg3, "x ^ -2", GREEN)
     with pytest.raises(ExprSyntaxError):
-        parse("(x", alg3)
+        eval_expr(alg3, "(x", GREEN)
     with pytest.raises(ExprSyntaxError):
         parse_label("x + y", alg3)
+
+
+def test_parse_label_parentheses(alg3):
+    assert parse_label("(x)", alg3) == IndecLabel(NIL, 1, 1)
+    assert parse_label("((V[2](eps;1)))", alg3) == canonicalize(alg3, EIG, 2, "eps", 1)
+    for src in ("3", "(3)", "(x+y)", "(x"):
+        with pytest.raises(ExprSyntaxError):
+            parse_label(src, alg3)
 
 
 def test_format_label(alg3):
