@@ -8,7 +8,10 @@ which most scalars of the theory are, runs on Python ints alone.  The
 inverse of an irrational element is the product of its Galois
 conjugates divided by its norm.  Exact rationals (`Rational`, which is
 fractions.Fraction) appear only at the edges: parsing, printing, ordering
-and hashing.  No floating point is used anywhere.  Mixing elements of
+and hashing.  A product with an operand that is exactly 1 or -1 returns the
+other operand or its negation, with no multiplication and no gcd: most
+products of the matrix oracle (group actions, pivots, Kronecker factors)
+are of that kind.  No floating point is used anywhere.  Mixing elements of
 different orders is an error rather than a silent promotion, so callers
 stay inside one fixed field per algebra.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction as Rational
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, neg, sub
 
 from .errors import InvalidParameter, OrderMismatch
 
@@ -239,14 +242,20 @@ class Cyclotomic:
             if order != other.order:
                 raise _mismatch(self, other)
             a, b = self.num, other.num
-            den = self.den * other.den
+            a_rational = not any(a[1:])
+            if a_rational and self.den == 1 and (a[0] == 1 or a[0] == -1):
+                return other if a[0] == 1 else _make(order, tuple(map(neg, b)),
+                                                     other.den)
             if not any(b[1:]):
                 q = b[0]
-                return _norm(order, tuple(x * q for x in a), den)
-            if not any(a[1:]):
+                if other.den == 1 and (q == 1 or q == -1):
+                    return self if q == 1 else _make(order, tuple(map(neg, a)),
+                                                     self.den)
+                return _norm(order, tuple(x * q for x in a), self.den * other.den)
+            if a_rational:
                 q = a[0]
-                return _norm(order, tuple(x * q for x in b), den)
-            return _norm(order, _mul_num(order, a, b), den)
+                return _norm(order, tuple(x * q for x in b), self.den * other.den)
+            return _norm(order, _mul_num(order, a, b), self.den * other.den)
         if isinstance(other, (int, Rational)):
             q = other.numerator
             return _norm(self.order, tuple(x * q for x in self.num),

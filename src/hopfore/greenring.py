@@ -40,6 +40,14 @@ from .syntax import evaluate, format_label, format_signed_sum
 GREEN = "green"
 GROTH = "groth"
 
+# Largest exponent that `^` and RingElement.__pow__ accept.
+MAX_EXPONENT = 1000
+
+
+def _check_ring(ring):
+    if ring not in (GREEN, GROTH):
+        raise InvalidParameter(f"unknown ring {ring!r}")
+
 
 class RingElement:
     """Integer combination of canonical labels in one of the two rings."""
@@ -47,8 +55,7 @@ class RingElement:
     __slots__ = ("ring", "alg", "coeffs")
 
     def __init__(self, ring, alg, coeffs):
-        if ring not in (GREEN, GROTH):
-            raise InvalidParameter(f"unknown ring {ring!r}")
+        _check_ring(ring)
         clean = {}
         for lab, c in coeffs.items():
             if not isinstance(c, int):
@@ -103,9 +110,16 @@ class RingElement:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise InvalidParameter("powers must be nonnegative integers")
+        if e > MAX_EXPONENT:
+            raise InvalidParameter(f"exponent {e} is above the limit {MAX_EXPONENT}")
         out = unit(self.alg, self.ring)
-        for _ in range(e):
-            out = out * self
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -136,6 +150,7 @@ def _is_trivial(alg, label) -> bool:
 
 
 def unit(alg, ring) -> RingElement:
+    _check_ring(ring)
     triv = next(s.label for s in alg.simples if _is_trivial(alg, s.label))
     if ring == GREEN:
         return RingElement(GREEN, alg, {IndecLabel(NIL, 1, triv): 1})
@@ -210,6 +225,7 @@ def format_element(elt: RingElement) -> str:
 
 def eval_expr(alg, src, ring) -> RingElement:
     """Evaluate the text of a ring expression in the chosen ring."""
+    _check_ring(ring)
 
     def value(atom):
         if isinstance(atom, int):

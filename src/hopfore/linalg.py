@@ -12,11 +12,17 @@ decompose walks, the coordinates of the halved basis and the
 unimodularity test of the Green ring all reduce through it.  Everything
 is fraction-exact, and pivoting always takes the first row with a
 nonzero entry in the current column, so reduced forms are canonical.
+sp_rref keeps each remaining row's leading column beside it and looks
+again only at rows that a step changed; row operations by a factor of 1
+or -1 add or subtract entries with no product, as Cyclotomic products by
+1 or -1 do.
 Traces (Matrix.trace, sp_trace_restrict) collect their terms and add them
 once with Cyclotomic.sum, on integer numerators over one denominator.
 """
 
 from __future__ import annotations
+
+from operator import add, sub
 
 from .cyclotomic import Cyclotomic
 from .errors import ShapeMismatch
@@ -195,13 +201,20 @@ def _entry(order: int, e) -> Cyclotomic:
 
 
 def _sp_row_submul(target: dict, factor, source: dict):
-    # target -= factor * source, dropping zeros.
-    for j, v in source.items():
+    # target -= factor * source, dropping zeros.  A factor of 1 or -1
+    # subtracts or adds the source entries themselves, with no product.
+    if factor == -1:
+        step, items = add, source.items()
+    elif factor == 1:
+        step, items = sub, source.items()
+    else:
+        step, items = sub, [(j, factor * v) for j, v in source.items()]
+    for j, v in items:
         cur = target.get(j)
         if cur is None:
-            target[j] = -factor * v
+            target[j] = v if step is add else -v
         else:
-            cur = cur - factor * v
+            cur = step(cur, v)
             if cur:
                 target[j] = cur
             else:
@@ -214,35 +227,37 @@ def sp_rref(rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
     Forward elimination picks, for the leftmost column that still has a
     nonzero entry, the first remaining row holding one; a single backward
     pass then clears pivot columns upward.  The result is the canonical
-    RREF of the input.
+    RREF of the input.  Each remaining row's leading column is kept in a
+    list beside it; a step changes only the rows whose leading column is
+    the pivot column, so only theirs are found again, and a row that
+    becomes empty is dropped.  A pivot that is already 1 is not rescaled.
+    Entries lie in range(ncols).
     """
-    work = [dict(r) for r in rows]
+    work = [dict(r) for r in rows if r]
+    leads = [min(r) for r in work]
     pivots: list[int] = []
     pivot_rows: list[dict] = []
-    remaining = list(range(len(work)))
-    while True:
-        col = ncols
-        for ridx in remaining:
-            r = work[ridx]
-            if r:
-                m = min(r)
-                if m < col:
-                    col = m
-        if col == ncols:
-            break
-        hit = next(pos for pos, ridx in enumerate(remaining) if col in work[ridx])
-        ridx = remaining.pop(hit)
-        row = work[ridx]
-        inv = row[col].inverse()
-        row = {j: v * inv for j, v in row.items()}
-        for other in remaining:
-            f = work[other].get(col)
-            if f:
-                _sp_row_submul(work[other], f, row)
+    while work:
+        col = min(leads)
+        hit = leads.index(col)
+        del leads[hit]
+        row = work.pop(hit)
+        pivot = row[col]
+        if pivot != 1:
+            inv = pivot.inverse()
+            row = {j: v * inv for j, v in row.items()}
+        kept, kept_leads = [], []
+        for other, lead in zip(work, leads):
+            if lead == col:
+                _sp_row_submul(other, other[col], row)
+                if not other:
+                    continue
+                lead = min(other)
+            kept.append(other)
+            kept_leads.append(lead)
+        work, leads = kept, kept_leads
         pivot_rows.append(row)
         pivots.append(col)
-        if not remaining:
-            break
     for k in range(len(pivot_rows) - 1, 0, -1):
         row, col = pivot_rows[k], pivots[k]
         for earlier in pivot_rows[:k]:

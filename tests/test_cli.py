@@ -116,6 +116,15 @@ def test_ring_mul_x2_basis(capsys):
     assert data["terms"] == [["1", 1], ["lam", 1], ["chi*x", 1]]
 
 
+def test_ring_mul_exponent_limit(capsys):
+    from hopfore.greenring import MAX_EXPONENT
+
+    code, _, err = run(capsys, ["ring", "mul", "--ring", "groth",
+                                "--expr", f"x^{MAX_EXPONENT + 1}"])
+    assert code == 2
+    assert "limit" in err
+
+
 def test_ring_mul_green_power_basis_rejected(capsys):
     code, _, err = run(capsys, ["ring", "mul", "--ring", "green",
                                 "--expr", "x", "--basis", "x1"])

@@ -265,3 +265,62 @@ def test_equality_against_int_and_fraction():
     z = Cyclotomic.zeta(6)
     assert z != 1 and z + 1 != 2 and z != Rational(1, 2)
     assert Cyclotomic(6, (Rational(1, 2), 1)) != Rational(1, 2)
+
+
+def _unit_cases(order):
+    w = Cyclotomic.zeta(order)
+    half = Cyclotomic.rational(order, Rational(1, 2))
+    return [
+        w ** 3 - 2 * w + 5,  # irrational, den 1
+        half + w,  # irrational, den 2
+        half,
+        Cyclotomic.rational(order, Rational(-1, 3)),
+        Cyclotomic.rational(order, 7),
+        Cyclotomic.zero(order),
+        Cyclotomic.one(order),
+        Cyclotomic.rational(order, -1),
+    ]
+
+
+@pytest.mark.parametrize("order", _RATIONAL_ORDERS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_products_by_plus_minus_one(order, data):
+    one, minus = Cyclotomic.one(order), Cyclotomic.rational(order, -1)
+    drawn = data.draw(_rational_scalars(order))
+    for u in (one, minus):
+        for x in _unit_cases(order) + [drawn]:
+            ref = _reference_product(order, u, x)
+            for p in (u * x, x * u):
+                _assert_canonical(p)
+                assert p.coeffs == ref
+            # the shortcut hands back the other operand itself
+            if u == one and x not in (one, minus):
+                assert u * x is x and x * u is x
+        for q in (0, 1, -1, 3, Rational(1, 2), Rational(-1, 3)):
+            ref = _reference_product(order, u, Cyclotomic.rational(order, q))
+            for p in (u * q, q * u):
+                _assert_canonical(p)
+                assert p.coeffs == ref
+
+
+@pytest.mark.parametrize("order", _RATIONAL_ORDERS)
+def test_rational_operands_other_than_plus_minus_one_multiply(order):
+    # 1/2 and -1/3 have numerator +-1 but are not units of the shortcut
+    for q in (Rational(1, 2), Rational(-1, 3)):
+        r = Cyclotomic.rational(order, q)
+        for x in _unit_cases(order):
+            ref = _reference_product(order, r, x)
+            for p in (r * x, x * r):
+                _assert_canonical(p)
+                assert p.coeffs == ref
+                if x:
+                    assert p != x and p != -x
+
+
+def test_plus_minus_one_keep_the_order_check():
+    for u in (Cyclotomic.one(6), Cyclotomic.rational(6, -1)):
+        with pytest.raises(OrderMismatch):
+            u * Cyclotomic.zeta(10)
+        with pytest.raises(OrderMismatch):
+            Cyclotomic.zeta(10) * u

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from hopfore.cyclotomic import Cyclotomic, Rational
 from hopfore.decompose import decompose, isotypic_multiplicities
-from hopfore.errors import CandidatePoolIncomplete, NonIntegerMultiplicity
+from hopfore.errors import (
+    CandidatePoolIncomplete, NonIntegerMultiplicity, NotFusionReady,
+)
 from hopfore.labels import EIG, NIL, IndecLabel, canonicalize
 from hopfore.linalg import Matrix
 from hopfore.modules import (
@@ -152,3 +154,18 @@ def test_tensor_associativity_multisets(alg3, t1, t2, i1, i2, b):
     left = tensor(tensor(a, c), e)
     right = tensor(a, tensor(c, e))
     assert decompose(left).counter() == decompose(right).counter()
+
+
+def test_not_fusion_ready_module_builds_but_does_not_decompose():
+    from hopfore.groups import GroupData, custom_algebra
+
+    # faithful chi on C_8 but central element g^2: |q| = 4 < 8 = |chi|
+    mul = [[(i + j) % 8 for j in range(8)] for i in range(8)]
+    group = GroupData(mul, generators=(1,))
+    simples = [(f"c{l}", [Matrix(8, [[Cyclotomic.zeta(8, l)]])]) for l in range(8)]
+    chi = [Cyclotomic.zeta(8, k) for k in range(8)]
+    alg = custom_algebra(group, simples, central=2, chi=chi, field_order=8)
+    m = tensor(module_nilpotent(alg, 2, "c0"), module_nilpotent(alg, 1, "c1"))
+    assert m.dim == 2
+    with pytest.raises(NotFusionReady):
+        decompose(m)

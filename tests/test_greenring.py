@@ -8,8 +8,9 @@ from hopfore.cyclotomic import Rational
 from hopfore.errors import (
     InternalInconsistency, InvalidParameter, RingMismatch, UnsupportedLabel,
 )
+from hopfore import greenring
 from hopfore.greenring import (
-    GREEN, GROTH, RingElement, binomial_power_decomposition, eval_expr,
+    GREEN, GROTH, MAX_EXPONENT, RingElement, binomial_power_decomposition, eval_expr,
     f_poly, format_basis_coords, format_element, g_poly, green_basis,
     groth_basis, groth_to_x2_basis, groth_to_x_basis, ring_mul, to_groth,
     unit, verify_presentation, x_basis_to_groth, _unimodular,
@@ -68,6 +69,35 @@ def test_eval_expr_arithmetic(alg3):
     x, y = ev(alg3, "x"), ev(alg3, "y")
     assert lhs == x * x + x * y + y * x + y * y
     assert ev(alg3, "-x + x") == RingElement(GREEN, alg3, {})
+
+
+def test_powers_by_squaring(alg3):
+    x = ev(alg3, "x", GROTH)
+    p = unit(alg3, GROTH)
+    for e in range(12):
+        assert x ** e == p
+        p = p * x
+    y = ev(alg3, "y")
+    assert y ** 5 == y * y * y * y * y
+
+
+def test_exponent_limit(alg3, monkeypatch):
+    x = ev(alg3, "x")
+    # no product is taken before the exponent is refused
+    monkeypatch.setattr(greenring, "ring_mul", None)
+    for src in (f"x^{MAX_EXPONENT + 1}", "x^10000000"):
+        with pytest.raises(InvalidParameter, match="limit"):
+            ev(alg3, src)
+    with pytest.raises(InvalidParameter, match="limit"):
+        x ** (MAX_EXPONENT + 1)
+
+
+def test_unknown_ring_rejected(alg3):
+    for call in (lambda: unit(alg3, "bogus"),
+                 lambda: eval_expr(alg3, "x*x + 2", "bogus"),
+                 lambda: eval_expr(alg3, "x", "bogus")):
+        with pytest.raises(InvalidParameter, match="unknown ring"):
+            call()
 
 
 def test_ring_and_algebra_mismatch(alg3, alg5):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfore.cyclotomic import Cyclotomic
+from hopfore.cyclotomic import Cyclotomic, Rational
 from hopfore.errors import ShapeMismatch
 from hopfore.groups import algebra_from_descriptor, custom_algebra
 from hopfore.linalg import Matrix, sp_rref
@@ -152,3 +152,77 @@ def test_rank_nullity(rows):
     kernel = _free_column_kernel(1, reduced, pivots, a.ncols)
     assert a.rank() + len(kernel) == a.ncols
     assert all((a @ k).is_zero() for k in kernel)
+
+
+def _dense_rref(order, rows, ncols):
+    # textbook Gauss-Jordan on dense lists: swap a pivot row up, scale it,
+    # clear its column in every other row
+    zero = Cyclotomic.zero(order)
+    m = [[row.get(j, zero) for j in range(ncols)] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return [{j: v for j, v in enumerate(row) if v} for row in m[:len(pivots)]], pivots
+
+
+def _entry_pool(order):
+    w = Cyclotomic.zeta(order)
+    q = Cyclotomic.rational
+    # pivots that are 1, -1, rational and irrational, and zeros
+    return [Cyclotomic.zero(order)] * 3 + [
+        q(order, 1), q(order, -1), q(order, 2), q(order, Rational(-2, 3)),
+        w, w + 1, Rational(1, 2) * w * w - 3, -w]
+
+
+@pytest.mark.parametrize("order", (6, 10))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sp_rref_matches_dense_gauss_jordan(order, data):
+    ncols = data.draw(st.integers(min_value=1, max_value=6))
+    entry = st.sampled_from(_entry_pool(order))
+    dense = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                               min_size=1, max_size=6))
+    rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
+    # zero rows, and multiples of earlier rows that vanish mid-elimination
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        k = data.draw(st.integers(min_value=0, max_value=len(rows)))
+        if k == len(rows):
+            rows.insert(data.draw(st.integers(0, len(rows))), {})
+        else:
+            f = data.draw(entry.filter(bool))
+            rows.append({j: f * v for j, v in rows[k].items()})
+    snapshot = [dict(r) for r in rows]
+    assert sp_rref(rows, ncols) == _dense_rref(order, rows, ncols)
+    assert rows == snapshot
+
+
+def test_sp_rref_fixed_cases():
+    order = 10
+    one, minus, w = Cyclotomic.one(order), Cyclotomic.rational(order, -1), Cyclotomic.zeta(order)
+    half = Cyclotomic.rational(order, Rational(1, 2))
+    rows = [
+        {},
+        {1: minus, 2: w},  # pivot -1
+        {1: minus, 2: w},  # a duplicate that vanishes when column 1 is cleared
+        {0: half, 3: one},  # a rational pivot
+        {},
+        {2: w + 1, 3: w},  # an irrational pivot
+        {0: one, 3: 3 * one},  # loses column 0 to the rational pivot row
+    ]
+    snapshot = [dict(r) for r in rows]
+    got = sp_rref(rows, 4)
+    assert got == _dense_rref(order, rows, 4)
+    assert got[1] == [0, 1, 2, 3]
+    assert rows == snapshot
+    assert sp_rref([{}, {}], 3) == ([], [])
