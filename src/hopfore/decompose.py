@@ -2,8 +2,8 @@
 
 The algorithm follows the structure theory.  x^s is central, so the module
 splits into generalized eigenspaces of X = x^s; the candidate eigenvalues
-come from the module's provenance (plus 0 and any caller extras).  For a
-candidate c let N = x when c = 0 and N = X - c otherwise.  The subspaces
+are 0 and the module's provenance.  For a candidate c let N = x when
+c = 0 and N = X - c otherwise.  The subspaces
 K_j = ker(N) intersect im(N^j) are modules over the group, and their
 isotypic multiplicities count the strings of eigenvalue c:
 
@@ -80,12 +80,12 @@ def isotypic_multiplicities(m: ExplicitModule) -> dict:
         [m.element_action(g).trace() for g, _ in alg.group.classes])
 
 
-def decompose(m: ExplicitModule, extra_candidates=()) -> DecompResult:
+def decompose(m: ExplicitModule) -> DecompResult:
     """Split m into indecomposable labels with multiplicities.
 
-    The candidate eigenvalue pool is provenance | {0} | extra_candidates; if
-    the generalized eigenspaces of X = x^s over the pool do not fill the
-    module, CandidatePoolIncomplete reports the missing dimension.
+    The candidate eigenvalue pool is provenance | {0}; if the generalized
+    eigenspaces of X = x^s over the pool do not fill the module,
+    CandidatePoolIncomplete reports the missing dimension.
     """
     alg = m.alg
     if not alg.fusion_ready:
@@ -99,7 +99,7 @@ def decompose(m: ExplicitModule, extra_candidates=()) -> DecompResult:
     for _ in range(alg.s - 1):
         big_x = sp_matmul(big_x, x_rows)
 
-    pool = {alg.zero()} | set(m.provenance) | {alg.scalar(v) for v in extra_candidates}
+    pool = {alg.zero()} | set(m.provenance)
     pool = sorted(pool, key=lambda v: v.sort_key())
 
     actions = [m.element_action(g) for g, _ in alg.group.classes]
@@ -117,7 +117,7 @@ def decompose(m: ExplicitModule, extra_candidates=()) -> DecompResult:
     if covered != dim:
         raise CandidatePoolIncomplete(
             f"candidate eigenvalues cover {covered} of {dim} dimensions; "
-            "pass the missing eigenvalues of x^s as extra_candidates")
+            "add the missing eigenvalues of x^s to the module's provenance")
 
     check = Counter()
     for lab, mult in labels.items():

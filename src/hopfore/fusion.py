@@ -37,14 +37,13 @@ def _recanon(alg, label):
     return canonicalize(alg, label.kind, label.t, label.i, beta=label.beta)
 
 
-def _nil_nil_terms(s, n, t, tail_start=None):
+def _nil_nil_terms(s, n, t):
     """Summand shapes for a product of two nilpotent strings.
 
     Returns a list of (T, u) pairs: one summand V_T(sigma^u(l)) for each
     pair and each composition factor l of the underlying simple product.
     Requires n >= t >= 1.  The last block in the overhang case starts at
-    u = max(p, p'); tail_start overrides that (used by tests probing the
-    alternative readings, which fail dimension conservation).
+    u = max(p, p').
     """
     if n < t:
         raise ValueError("need n >= t")
@@ -68,20 +67,19 @@ def _nil_nil_terms(s, n, t, tail_start=None):
             ]
     else:
         mbar = pt + pn - s - 1
-        start = max(pt, pn) if tail_start is None else tail_start
         if pt <= pn:
             blocks = [
                 (rt + 1, range(0, mbar + 1), (rt + rn + 1) * s),
                 (rt + 1, range(mbar + 1, pt), None),
                 (rt, range(pt, pn), (rt + rn) * s),
-                (rt, range(start, s), None),
+                (rt, range(max(pt, pn), s), None),
             ]
         else:
             blocks = [
                 (rt + 1, range(0, mbar + 1), (rt + rn + 1) * s),
                 (rt + 1, range(mbar + 1, pn), None),
                 (rt + 1, range(pn, pt), (rt + rn) * s),
-                (rt, range(start, s), None),
+                (rt, range(max(pt, pn), s), None),
             ]
     for m_count, u_range, even_top in blocks:
         for m in range(m_count):
@@ -183,16 +181,4 @@ def comp_factors(alg, label):
             out[SimpleLabel(TORSION, alg.sigma_power(label.i, l))] += 1
     else:
         out[canonical_simple(alg, FREE, label.i, label.beta)] += label.t
-    return out
-
-
-def simple_restriction(alg, simple):
-    """Restriction of a simple module to the group, as label counts."""
-    simple = canonical_simple(alg, simple.kind, simple.i, beta=simple.beta)
-    out = Counter()
-    if simple.kind == TORSION:
-        out[simple.i] += 1
-    else:
-        for j in range(alg.s):
-            out[alg.sigma_power(simple.i, j)] += 1
     return out

@@ -35,13 +35,17 @@ from .labels import (
     sorted_items,
 )
 from .linalg import sp_rref
-from .syntax import evaluate, format_label, format_signed_sum
+from .syntax import (
+    MAX_EXPONENT, MAX_SCALAR_BITS, evaluate, format_label, format_signed_sum,
+)
 
 GREEN = "green"
 GROTH = "groth"
 
-# Largest exponent that `^` and RingElement.__pow__ accept.
-MAX_EXPONENT = 1000
+# Most label pairs one ring_mul tensors.  The presentation suites and the
+# pinned ring mul corpus need at most 7; a product of 10000 pairs takes
+# well under a second, and powers of sums grow past it within a few steps.
+MAX_RING_PAIRS = 10_000
 
 
 def _check_ring(ring):
@@ -101,9 +105,16 @@ class RingElement:
                            {lab: k * c for lab, c in self.coeffs.items()})
 
     def __mul__(self, other):
+        # products by `*` and `**`, as the expression language takes them,
+        # keep every coefficient printable
         if isinstance(other, int):
             return self.scale(other)
-        return ring_mul(self, self._compat(other))
+        other = self._compat(other)
+        bits = _coeff_bits(self) + _coeff_bits(other)
+        if bits > MAX_SCALAR_BITS:
+            raise InvalidParameter(
+                f"coefficients of up to {bits} bits are above the limit {MAX_SCALAR_BITS}")
+        return ring_mul(self, other)
 
     __rmul__ = __mul__
 
@@ -164,9 +175,21 @@ def _lift(simple) -> IndecLabel:
     return IndecLabel(EIG, 1, simple.i, simple.beta)
 
 
+def _coeff_bits(a: RingElement) -> int:
+    return max(map(abs, a.coeffs.values()), default=0).bit_length()
+
+
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    """Bilinear product; the Grothendieck ring multiplies composition factors."""
+    """Bilinear product; the Grothendieck ring multiplies composition factors.
+
+    A product of more than MAX_RING_PAIRS label pairs is refused before it
+    starts.
+    """
     b = a._compat(b)
+    if len(a.coeffs) * len(b.coeffs) > MAX_RING_PAIRS:
+        raise InvalidParameter(
+            f"a product of {len(a.coeffs)} by {len(b.coeffs)} labels is above "
+            f"the limit of {MAX_RING_PAIRS} label pairs")
     alg = a.alg
     out = Counter()
     if a.ring == GREEN:
@@ -280,13 +303,6 @@ def _x2_basis(alg, powers=None):
     return out
 
 
-def x2_basis_elements(alg):
-    """The halved basis {1, lam, chi, lamchi, x^l, chi*x^l : 1 <= l <= (m-1)/2}
-    as (display name, Grothendieck element) pairs, in that order."""
-    _require_dihedral(alg)
-    return _x2_basis(alg)
-
-
 def _solve(basis, targets):
     """Integer coordinates of each target in the basis, as (name, integer)
     lists: [basis columns | target columns] is row-reduced over Q in one
@@ -342,12 +358,6 @@ def groth_to_x_basis(a: RingElement):
     return _group_ring_coords(a, "power", _x1_basis)
 
 
-def x_basis_to_groth(alg, pairs) -> RingElement:
-    """Evaluate (name, integer) pairs over X_1 in the Grothendieck ring."""
-    _require_dihedral(alg)
-    return _evaluate(alg, dict(_x1_basis(alg)), pairs)
-
-
 def groth_to_x2_basis(a: RingElement):
     """Coordinates in the halved basis, as ordered (name, integer) pairs."""
     return _group_ring_coords(a, "halved", _x2_basis)
@@ -381,26 +391,6 @@ def g_poly(alg):
             (-1) ** (k - 1) * _int_coeff(m, m - 2 * k, comb(m - 1 - k, k)))
            for k in range(1, (m - 1) // 2 + 1)]
     return out + [("chi", 1), ("lamchi", 1)]
-
-
-def binomial_power_decomposition(alg, l) -> RingElement:
-    """Closed multiset form of x^l in the Grothendieck ring, l <= m-1."""
-    _require_dihedral(alg)
-    m = alg.group.size // 4
-    if not 1 <= l <= m - 1:
-        raise InvalidParameter(f"need 1 <= l <= {m - 1}, got {l}")
-    out = Counter()
-    if l % 2:
-        r = (l + 1) // 2
-        for j in range(1, r + 1):
-            out[SimpleLabel(TORSION, 2 * j - 1)] += comb(2 * r - 1, r - j)
-    else:
-        r = l // 2
-        out[SimpleLabel(TORSION, "eps")] += comb(2 * r - 1, r - 1)
-        out[SimpleLabel(TORSION, "lam")] += comb(2 * r - 1, r - 1)
-        for j in range(1, r + 1):
-            out[SimpleLabel(TORSION, 2 * j)] += comb(2 * r, r - j)
-    return RingElement(GROTH, alg, out)
 
 
 def format_basis_coords(pairs) -> str:

@@ -10,14 +10,10 @@ from .decompose import decompose
 from .errors import InvalidParameter
 from .fusion import tensor_labels
 from .labels import EIG, NIL, canonicalize, label_dim
-from .linalg import Matrix
 from .modules import module_eigen, module_nilpotent, tensor
 from .syntax import format_label, format_multiset
 
-__all__ = [
-    "build_module", "grid_labels", "check_pair", "run_grid",
-    "nilpotency_index", "radical_length",
-]
+__all__ = ["build_module", "grid_labels", "check_pair", "run_grid"]
 
 
 def build_module(alg, label):
@@ -90,30 +86,3 @@ def run_grid(alg, labels=None, nil_tmax=3, eig_tmax=2, betas=()):
         "ok": not mismatches,
         "max_tensor_dim": max_dim * max_dim,
     }
-
-
-def nilpotency_index(mat, cap):
-    """Smallest j with mat^j = 0, via the rank sequence; InvalidParameter
-    if the matrix is not nilpotent within `cap` steps."""
-    if mat.rank() == 0:
-        return 1 if mat.nrows else 0
-    power = mat
-    j = 1
-    while j <= cap:
-        power = power @ mat
-        j += 1
-        if power.rank() == 0:
-            return j
-    raise InvalidParameter("matrix is not nilpotent within the given bound")
-
-
-def radical_length(alg, label, module=None):
-    """Loewy length read off the module matrices: the nilpotency index of x
-    on Nil(t,i) is t, and of x^s - beta on Eig(r,[i],beta) is r."""
-    if module is None:
-        module = build_module(alg, label)
-    if label.kind == NIL:
-        return nilpotency_index(module.x_action, module.dim + 1)
-    x_s = module.x_action ** alg.s
-    shifted = x_s - Matrix.scalar(x_s.order, x_s.nrows, label.beta)
-    return nilpotency_index(shifted, module.dim + 1)

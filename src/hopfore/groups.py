@@ -584,10 +584,3 @@ def _algebra_from_descriptor(desc: dict) -> AlgebraData:
         for s in desc["simples"]
     ]
     return custom_algebra(group, simples, int(desc["central"]), chi, field_order)
-
-
-def fusion_coeffs(alg: AlgebraData, i, j) -> dict:
-    """Multiplicities N_{i,j}^l of V_l inside V_i tensor V_j."""
-    alg.require_label(i)
-    alg.require_label(j)
-    return dict(alg.fusion[(i, j)])

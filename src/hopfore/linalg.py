@@ -7,11 +7,11 @@ cheap.  Matrix is the immutable, shape-checked type that modules and
 algebras hold; the sp_* routines below work on bare row dict lists, and
 `Matrix.rows` can be passed to them as it is.
 
-sp_rref is the one elimination routine.  Ranks, the image chains that
-decompose walks, the coordinates of the halved basis and the
-unimodularity test of the Green ring all reduce through it.  Everything
-is fraction-exact, and pivoting always takes the first row with a
-nonzero entry in the current column, so reduced forms are canonical.
+sp_rref is the one elimination routine.  The image chains that decompose
+walks, the coordinates of the halved basis and the unimodularity test of
+the Green ring all reduce through it.  Everything is fraction-exact, and
+pivoting always takes the first row with a nonzero entry in the current
+column, so reduced forms are canonical.
 sp_rref keeps each remaining row's leading column beside it and looks
 again only at rows that a step changed; row operations by a factor of 1
 or -1 add or subtract entries with no product, as Cyclotomic products by
@@ -107,42 +107,28 @@ class Matrix:
             raise IndexError(f"column {j} out of range")
         return self.rows[i].get(j) or Cyclotomic.zero(self.order)
 
-    def is_zero(self) -> bool:
-        return not any(self.rows)
-
     def trace(self) -> Cyclotomic:
         if self.nrows != self.ncols:
             raise ShapeMismatch("trace of a non-square matrix")
         return Cyclotomic.sum(self.order, [row[i] for i, row in enumerate(self.rows)
                                            if i in row])
 
-    def rank(self) -> int:
-        return len(sp_rref(self.rows, self.ncols)[1])
-
     # -- arithmetic --------------------------------------------------------
 
-    def _check_same_shape(self, other: "Matrix"):
+    def __add__(self, other: "Matrix") -> "Matrix":
         if self.order != other.order:
             raise ShapeMismatch("matrices over different fields")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeMismatch(
                 f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
-
-    def _combine(self, other: "Matrix", factor) -> "Matrix":
-        # self - factor * other, row by row
-        self._check_same_shape(other)
+        # row by row, as self - (-1) * other: the -1 adds entries, no product
+        minus_one = -Cyclotomic.one(self.order)
         rows = []
         for r, s in zip(self.rows, other.rows):
             r = dict(r)
-            _sp_row_submul(r, factor, s)
+            _sp_row_submul(r, minus_one, s)
             rows.append(r)
         return Matrix.from_rows(self.order, rows, self.ncols)
-
-    def __add__(self, other):
-        return self._combine(other, -Cyclotomic.one(self.order))
-
-    def __sub__(self, other):
-        return self._combine(other, Cyclotomic.one(self.order))
 
     def scale(self, value) -> "Matrix":
         v = _entry(self.order, value)
@@ -158,21 +144,6 @@ class Matrix:
             raise ShapeMismatch(f"inner dimensions {self.ncols} vs {other.nrows}")
         return Matrix.from_rows(self.order, sp_matmul(self.rows, other.rows),
                                 other.ncols)
-
-    def __pow__(self, e: int) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise ShapeMismatch("power of a non-square matrix")
-        if e < 0:
-            raise ShapeMismatch("negative matrix power")
-        result = Matrix.identity(self.order, self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            e >>= 1
-            if e:
-                base = base @ base
-        return result
 
     def tensor_product(self, other: "Matrix") -> "Matrix":
         """Kronecker product, blocks ordered row-major by self's entries."""

@@ -22,8 +22,8 @@ checks those matrices against the group table independently of the
 Kronecker shortcut.
 
 Each module carries a provenance set: field values that exhaust the
-possible eigenvalues of x^s on it.  Constructors seed it and tensor/sum
-propagate it, so later decomposition knows where to look.
+possible eigenvalues of x^s on it.  Constructors seed it and tensor
+propagates it, so later decomposition knows where to look.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     InvalidParameter,
     ZeroBeta,
 )
-from .groups import AlgebraData, algebra_from_descriptor, expand_words, table_violations
+from .groups import AlgebraData, expand_words, table_violations
 from .linalg import Matrix
 
 
@@ -110,22 +110,6 @@ class ExplicitModule:
 
     def to_json(self, indent=None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
-
-    @staticmethod
-    def from_json_dict(data: dict, alg: AlgebraData | None = None) -> "ExplicitModule":
-        if alg is None:
-            alg = algebra_from_descriptor(data["algebra"])
-        from .syntax import parse_cyclotomic
-
-        n = alg.field_order
-        gens = [Matrix.from_literals(n, m) for m in data["gen_actions"]]
-        x = Matrix.from_literals(n, data["x_action"])
-        prov = [parse_cyclotomic(n, v) for v in data["provenance"]]
-        return ExplicitModule(alg, gens, x, prov)
-
-    @staticmethod
-    def from_json(text: str, alg: AlgebraData | None = None) -> "ExplicitModule":
-        return ExplicitModule.from_json_dict(json.loads(text), alg)
 
 
 def _require_same_algebra(m: ExplicitModule, n: ExplicitModule):
@@ -208,25 +192,6 @@ def tensor(m: ExplicitModule, n: ExplicitModule) -> ExplicitModule:
     prod = ExplicitModule(alg, gen_actions, x_action, prov)
     object.__setattr__(prod, "factors", (m, n))
     return prod
-
-
-def direct_sum(m: ExplicitModule, n: ExplicitModule) -> ExplicitModule:
-    _require_same_algebra(m, n)
-    order = m.alg.field_order
-    dim = m.dim + n.dim
-
-    def block(a: Matrix, b: Matrix) -> Matrix:
-        shifted = [{m.dim + c: v for c, v in row.items()} for row in b.rows]
-        return Matrix.from_rows(order, a.rows + tuple(shifted), dim)
-
-    gen_actions = [block(a, b) for a, b in zip(m.gen_actions, n.gen_actions)]
-    x_action = block(m.x_action, n.x_action)
-    return ExplicitModule(m.alg, gen_actions, x_action, m.provenance | n.provenance)
-
-
-def zero_module(alg: AlgebraData) -> ExplicitModule:
-    empty = Matrix(alg.field_order, [], 0)
-    return ExplicitModule(alg, [empty] * len(alg.group.generators), empty, ())
 
 
 def validate(m: ExplicitModule) -> list[str]:

@@ -19,15 +19,27 @@ any number of parentheses.  Bare names are simple labels of the algebra,
 meaning V[1](name).  The dihedral algebras additionally accept x, y, z,
 y[b], w[b] shorthands.  Labels are canonicalized while parsing, so
 printing is a left inverse of parsing on canonical forms.
+
+Three limits keep reading cheap and every scalar printable: an integer
+token has at most MAX_DIGITS digits, "^" takes exponents up to
+MAX_EXPONENT, and a scalar + - * or ^ whose result could pass
+MAX_SCALAR_BITS is refused before it is computed.
 """
 
 from dataclasses import dataclass
+from operator import add, mul, sub
 
 from .cyclotomic import Cyclotomic, Rational
-from .errors import ExprSyntaxError, UnknownLabel
+from .errors import ExprSyntaxError, InvalidParameter, UnknownLabel
 from .labels import EIG, NIL, IndecLabel, canonicalize, label_sort_key
 
 _PUNCT = set("+-*^/()[];")
+
+MAX_EXPONENT = 1000
+# far below the 4300 decimal digits (14284 bits) that str() of an int allows
+MAX_SCALAR_BITS = 8192
+# enough for the printed integers of a scalar within MAX_SCALAR_BITS
+MAX_DIGITS = 2500
 
 
 @dataclass(frozen=True)
@@ -49,6 +61,9 @@ def _tokenize(src):
             j = i
             while j < n and src[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ExprSyntaxError(
+                    f"integer longer than {MAX_DIGITS} digits", i)
             out.append(Token("INT", src[i:j], i))
             i = j
             continue
@@ -103,6 +118,25 @@ class _Cursor:
 
 # -- the precedence chain, shared by both languages ---------------------------
 
+def _check_bits(bits):
+    if bits > MAX_SCALAR_BITS:
+        raise InvalidParameter(
+            f"a scalar of up to {bits} bits is above the limit {MAX_SCALAR_BITS}")
+
+
+def _bits(v) -> int:
+    """Bits of a scalar's widest numerator plus those of its denominator."""
+    return max(abs(k).bit_length() for k in v.num) + v.den.bit_length() - 1
+
+
+def _apply(op, v, w):
+    # a scalar sum, difference or product has at most its operands' bits
+    # together; ring values are bounded where they multiply
+    if isinstance(v, Cyclotomic):
+        _check_bits(_bits(v) + _bits(w))
+    return op(v, w)
+
+
 def _sum(ts, atom):
     neg = ts.eat("-")
     v = _term(ts, atom)
@@ -110,9 +144,9 @@ def _sum(ts, atom):
         v = -v
     while True:
         if ts.eat("+"):
-            v = v + _term(ts, atom)
+            v = _apply(add, v, _term(ts, atom))
         elif ts.eat("-"):
-            v = v - _term(ts, atom)
+            v = _apply(sub, v, _term(ts, atom))
         else:
             return v
 
@@ -120,7 +154,7 @@ def _sum(ts, atom):
 def _term(ts, atom):
     v = _factor(ts, atom)
     while ts.eat("*"):
-        v = v * _factor(ts, atom)
+        v = _apply(mul, v, _factor(ts, atom))
     return v
 
 
@@ -131,7 +165,12 @@ def _factor(ts, atom):
     else:
         v = atom(ts)
     if ts.eat("^"):
-        return v ** ts.uint("an exponent")
+        e = ts.uint("an exponent")
+        if e > MAX_EXPONENT:
+            raise InvalidParameter(f"exponent {e} is above the limit {MAX_EXPONENT}")
+        if isinstance(v, Cyclotomic):
+            _check_bits(_bits(v) * e)
+        return v ** e
     return v
 
 

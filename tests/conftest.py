@@ -1,8 +1,68 @@
+"""Fixture algebras and the test-side oracles shared by several modules.
+
+The oracles stay off both routes they check: they build on Matrix,
+sp_rref, ExplicitModule and RingElement's constructor only, never on
+decompose or the closed rules.
+"""
+
+from collections import Counter
+from math import comb
+
 import pytest
 
 from hopfore.cyclotomic import Cyclotomic
+from hopfore.greenring import GROTH, RingElement
 from hopfore.groups import GroupData, custom_algebra, dihedral_algebra
-from hopfore.linalg import Matrix
+from hopfore.labels import TORSION, SimpleLabel
+from hopfore.linalg import Matrix, sp_rref
+from hopfore.modules import ExplicitModule
+
+
+def rank(mat):
+    return len(sp_rref(mat.rows, mat.ncols)[1])
+
+
+def mat_power(mat, e):
+    """mat^e for a square matrix, by e products."""
+    out = Matrix.identity(mat.order, mat.nrows)
+    for _ in range(e):
+        out = out @ mat
+    return out
+
+
+def direct_sum(m, n):
+    """Block-diagonal sum of two modules over one algebra; its provenance
+    is the union of theirs."""
+    assert m.alg == n.alg
+    order = m.alg.field_order
+    dim = m.dim + n.dim
+
+    def block(a, b):
+        shifted = [{m.dim + c: v for c, v in row.items()} for row in b.rows]
+        return Matrix.from_rows(order, a.rows + tuple(shifted), dim)
+
+    gen_actions = [block(a, b) for a, b in zip(m.gen_actions, n.gen_actions)]
+    return ExplicitModule(m.alg, gen_actions, block(m.x_action, n.x_action),
+                          m.provenance | n.provenance)
+
+
+def binomial_power_decomposition(alg, l):
+    """The paper's closed multiset form of x^l in the Grothendieck ring of a
+    dihedral algebra, 1 <= l <= m - 1."""
+    m = alg.group.size // 4
+    assert alg.kind == "dihedral" and 1 <= l <= m - 1
+    out = Counter()
+    if l % 2:
+        r = (l + 1) // 2
+        for j in range(1, r + 1):
+            out[SimpleLabel(TORSION, 2 * j - 1)] += comb(2 * r - 1, r - j)
+    else:
+        r = l // 2
+        out[SimpleLabel(TORSION, "eps")] += comb(2 * r - 1, r - 1)
+        out[SimpleLabel(TORSION, "lam")] += comb(2 * r - 1, r - 1)
+        for j in range(1, r + 1):
+            out[SimpleLabel(TORSION, 2 * j)] += comb(2 * r, r - j)
+    return RingElement(GROTH, alg, out)
 
 
 def cyclic_algebra(n, chi_exp):

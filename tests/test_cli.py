@@ -125,6 +125,30 @@ def test_ring_mul_exponent_limit(capsys):
     assert "limit" in err
 
 
+# Inputs whose work or printed size would be unbounded; each is refused
+# with exit 2 before the costly step runs.
+UNBOUNDED = {
+    "long integer": ["ring", "mul", "--ring", "green", "--expr", "7" * 5000],
+    "huge beta": ["tensor", "--left", "V[1](eps;2^100000)", "--right", "V[1](eps)"],
+    "nested beta": ["tensor", "--left", "V[1](eps;((10^999)^999)^999)",
+                    "--right", "V[1](eps)"],
+    "nested betas": ["verify", "presentation", "--betas", "1,((10^999)^999)^999"],
+    "power of a sum": ["ring", "mul", "--ring", "green",
+                       "--expr", "(V[1](2;2)+V[2](2;-1)+z)^16"],
+    "long power of a sum": ["ring", "mul", "--ring", "green",
+                            "--expr", "(x+y+V[3](lam))^64"],
+    "nested coefficient": ["ring", "mul", "--ring", "groth", "--expr", "(2^1000)^1000"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNBOUNDED))
+def test_unbounded_inputs_exit_2(capsys, case):
+    code, out, err = run(capsys, UNBOUNDED[case])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and ("limit" in err or "digits" in err), err
+    assert "Traceback" not in err
+
+
 def test_ring_mul_green_power_basis_rejected(capsys):
     code, _, err = run(capsys, ["ring", "mul", "--ring", "green",
                                 "--expr", "x", "--basis", "x1"])
@@ -226,12 +250,18 @@ def test_module_export_and_reimport(tmp_path, capsys):
     assert code == 0
     data = json.loads(out_file.read_text())
     assert data["dim"] == 8
-    from hopfore.modules import ExplicitModule
-    from hopfore.modules import validate
+    from hopfore.cyclotomic import Rational
+    from hopfore.grid import build_module
+    from hopfore.groups import dihedral_algebra
+    from hopfore.labels import EIG, canonicalize
 
-    mod = ExplicitModule.from_json_dict(data)
-    assert validate(mod) == []
-    assert "1/2" in data["provenance"]
+    # the written literals are those of the module the label names
+    alg = dihedral_algebra(3)
+    mod = build_module(alg, canonicalize(alg, EIG, 2, 1, Rational(1, 2)))
+    assert data["algebra"] == alg.descriptor
+    assert data["gen_actions"] == [m.to_literals() for m in mod.gen_actions]
+    assert data["x_action"] == mod.x_action.to_literals()
+    assert data["provenance"] == ["1/2"]
 
 
 def test_module_export_stdout(capsys):

@@ -11,10 +11,9 @@ from hopfore.errors import (
 )
 from hopfore.labels import EIG, NIL, IndecLabel, canonicalize
 from hopfore.linalg import Matrix
-from hopfore.modules import (
-    ExplicitModule, direct_sum, module_eigen, module_nilpotent, tensor,
-    zero_module,
-)
+from hopfore.modules import ExplicitModule, module_eigen, module_nilpotent, tensor
+
+from conftest import direct_sum
 
 
 def test_isotypic_examples(alg3):
@@ -83,7 +82,9 @@ def test_twist_direction_c8(c8):
 
 
 def test_zero_module(alg3):
-    res = decompose(zero_module(alg3))
+    empty = Matrix(alg3.field_order, [], 0)
+    zero = ExplicitModule(alg3, [empty] * len(alg3.group.generators), empty, ())
+    res = decompose(zero)
     assert res.counter() == {}
     assert res.total_dim == 0
 
@@ -113,10 +114,11 @@ def test_orbit_identifications(alg3):
 def test_candidate_pool_incomplete(alg3):
     m = module_eigen(alg3, 1, "eps", 7)
     stripped = ExplicitModule(alg3, list(m.gen_actions), m.x_action, [])
-    with pytest.raises(CandidatePoolIncomplete):
+    with pytest.raises(CandidatePoolIncomplete, match="provenance"):
         decompose(stripped)
-    # the same module decomposes once the pool is supplied explicitly
-    got = decompose(stripped, extra_candidates=[alg3.scalar(7)]).counter()
+    # the same matrices decompose once 7 is back in the provenance
+    restored = ExplicitModule(alg3, list(m.gen_actions), m.x_action, [7])
+    got = decompose(restored).counter()
     assert got == {canonicalize(alg3, EIG, 1, "eps", 7): 1}
 
 

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from hopfore.cyclotomic import Rational
 from hopfore.errors import NotFusionReady
-from hopfore.fusion import (
-    _nil_nil_terms, comp_factors, simple_restriction, tensor_labels,
-)
+from hopfore.fusion import comp_factors, tensor_labels
 from hopfore.labels import (
     EIG, FREE, NIL, TORSION, IndecLabel, SimpleLabel, canonical_simple,
     canonicalize, label_dim, multiset_dim,
@@ -93,13 +91,6 @@ def test_long_string_product_frozen(c4):
     assert multiset_dim(c4, res) == 70
 
 
-def test_tail_start_alternatives_break_dimension(c4):
-    good = sum(T for T, _ in _nil_nil_terms(4, 10, 7))
-    assert good == 70
-    assert sum(T for T, _ in _nil_nil_terms(4, 10, 7, tail_start=0)) == 112
-    assert sum(T for T, _ in _nil_nil_terms(4, 10, 7, tail_start=2)) == 82
-
-
 def test_not_fusion_ready_rejected():
     from hopfore.cyclotomic import Cyclotomic
     from hopfore.groups import GroupData, custom_algebra
@@ -123,14 +114,6 @@ def test_comp_factors(alg3):
     b = alg3.scalar(1)
     assert comp_factors(alg3, E(alg3, 2, 1, b)) == {
         canonical_simple(alg3, FREE, 1, b): 2}
-
-
-def test_simple_restriction(alg3):
-    assert simple_restriction(alg3, SimpleLabel(TORSION, "lam")) == {"lam": 1}
-    free = canonical_simple(alg3, FREE, 1, alg3.scalar(2))
-    assert simple_restriction(alg3, free) == {1: 1, 2: 1}
-    free0 = canonical_simple(alg3, FREE, "chi", alg3.scalar(2))
-    assert simple_restriction(alg3, free0) == {"eps": 1, "chi": 1}
 
 
 _lab3 = st.one_of(

@@ -10,15 +10,22 @@ from hopfore.errors import (
 )
 from hopfore import greenring
 from hopfore.greenring import (
-    GREEN, GROTH, MAX_EXPONENT, RingElement, binomial_power_decomposition, eval_expr,
+    GREEN, GROTH, MAX_EXPONENT, RingElement, eval_expr,
     f_poly, format_basis_coords, format_element, g_poly, green_basis,
     groth_basis, groth_to_x2_basis, groth_to_x_basis, ring_mul, to_groth,
-    unit, verify_presentation, x_basis_to_groth, _unimodular,
+    unit, verify_presentation, _evaluate, _unimodular, _x1_basis, _x2_basis,
 )
 from hopfore.groups import algebra_from_descriptor
 from hopfore.labels import (
     EIG, NIL, TORSION, IndecLabel, SimpleLabel, canonicalize,
 )
+
+from conftest import binomial_power_decomposition
+
+
+def x1_to_groth(alg, pairs):
+    """Evaluate (name, integer) pairs over X_1 in the Grothendieck ring."""
+    return _evaluate(alg, dict(_x1_basis(alg)), pairs)
 
 
 def ev(alg, src, ring=GREEN):
@@ -92,6 +99,35 @@ def test_exponent_limit(alg3, monkeypatch):
         x ** (MAX_EXPONENT + 1)
 
 
+def test_ring_product_limits(alg3, monkeypatch):
+    calls = []
+    monkeypatch.setattr(greenring, "tensor_labels",
+                        lambda alg, a, b: calls.append((a, b)) or {})
+
+    def strings(n, coeff=1):
+        return RingElement(GREEN, alg3, {IndecLabel(NIL, t, "eps"): coeff
+                                          for t in range(1, n + 1)})
+
+    # the pair count is checked before any label pair is tensored
+    side = int(greenring.MAX_RING_PAIRS ** 0.5)
+    assert side * side == greenring.MAX_RING_PAIRS
+    ring_mul(strings(side), strings(side))
+    assert len(calls) == greenring.MAX_RING_PAIRS
+    calls.clear()
+    for a, b in ((strings(side + 1), strings(side)), (strings(side), strings(side + 1))):
+        with pytest.raises(InvalidParameter, match="label pairs"):
+            ring_mul(a, b)
+    assert not calls
+    # `*` also bounds the coefficients' bits, which nested powers double
+    half = greenring.MAX_SCALAR_BITS // 2
+    strings(1, 2 ** (half - 1)) * strings(1, -(2 ** (half - 1)))
+    with pytest.raises(InvalidParameter, match="bits"):
+        strings(1, 2 ** half) * strings(1, 2 ** (half - 1))
+    with pytest.raises(InvalidParameter, match="bits"):
+        strings(1, 2 ** half) ** 2
+    assert len(calls) == 1
+
+
 def test_unknown_ring_rejected(alg3):
     for call in (lambda: unit(alg3, "bogus"),
                  lambda: eval_expr(alg3, "x*x + 2", "bogus"),
@@ -161,8 +197,8 @@ def test_f_g_are_images(alg3, alg5):
         x = ev(alg, "x", GROTH)
         chi = ev(alg, "chi", GROTH)
         m = alg.group.size // 4
-        assert x_basis_to_groth(alg, f_poly(alg)) == chi * x
-        assert x_basis_to_groth(alg, g_poly(alg)) == x ** m
+        assert x1_to_groth(alg, f_poly(alg)) == chi * x
+        assert x1_to_groth(alg, g_poly(alg)) == x ** m
 
 
 @pytest.mark.parametrize("m", [3, 5])
@@ -178,14 +214,14 @@ def test_binomial_powers(m):
 def test_x_basis_round_trips(alg5):
     x = ev(alg5, "x", GROTH)
     for elt in (x ** 3, x ** 7, ev(alg5, "chi*x^2 - 4*V[1](3)", GROTH)):
-        assert x_basis_to_groth(alg5, groth_to_x_basis(elt)) == elt
+        assert x1_to_groth(alg5, groth_to_x_basis(elt)) == elt
 
 
 def test_x_basis_solve_failures(alg5, monkeypatch):
     from hopfore import greenring
 
     with pytest.raises(InvalidParameter):
-        x_basis_to_groth(alg5, [("x^5", 1)])
+        x1_to_groth(alg5, [("x^5", 1)])
     # doubling the element named x makes the coordinate of x one half
     real = greenring._x1_basis
     monkeypatch.setattr(greenring, "_x1_basis", lambda alg, powers=None: [
@@ -214,9 +250,7 @@ def test_x2_coordinates_frozen(alg3):
 
 
 def test_x2_round_trip(alg5):
-    from hopfore.greenring import x2_basis_elements
-
-    basis = x2_basis_elements(alg5)
+    basis = _x2_basis(alg5)
     for _, vec in basis:
         coords = groth_to_x2_basis(vec)
         total = RingElement(GROTH, alg5, {})

@@ -7,9 +7,9 @@ import pytest
 from hopfore.cyclotomic import Cyclotomic, Rational, field_degree
 from hopfore.errors import (
     IncompleteSimpleList, NonIntegerMultiplicity, NotCentral, NotIrreducible,
-    TrivialQ, UnknownLabel,
+    TrivialQ,
 )
-from hopfore.groups import custom_algebra, dihedral_algebra, fusion_coeffs
+from hopfore.groups import custom_algebra, dihedral_algebra
 from hopfore.linalg import Matrix
 
 from conftest import cyclic_algebra
@@ -56,20 +56,18 @@ def test_invalid_m():
 
 
 def test_fusion_examples(alg3, alg5):
-    assert fusion_coeffs(alg3, 1, 1) == {"eps": 1, "lam": 1, 2: 1}
-    assert fusion_coeffs(alg5, 1, 4) == {3: 1, "chi": 1, "lamchi": 1}
+    assert alg3.fusion[(1, 1)] == {"eps": 1, "lam": 1, 2: 1}
+    assert alg5.fusion[(1, 4)] == {3: 1, "chi": 1, "lamchi": 1}
     for alg in (alg3, alg5):
         for lab in alg.labels:
-            assert fusion_coeffs(alg, "eps", lab) == {lab: 1}
-    with pytest.raises(UnknownLabel):
-        fusion_coeffs(alg3, 1, 9)
+            assert alg.fusion[("eps", lab)] == {lab: 1}
 
 
 def test_fusion_symmetric_and_dim_additive(alg5):
     for i in alg5.labels:
         for j in alg5.labels:
-            nij = fusion_coeffs(alg5, i, j)
-            assert nij == fusion_coeffs(alg5, j, i)
+            nij = alg5.fusion[(i, j)]
+            assert nij == alg5.fusion[(j, i)]
             total = sum(c * alg5.simple(l).dim for l, c in nij.items())
             assert total == alg5.simple(i).dim * alg5.simple(j).dim
 
@@ -79,16 +77,16 @@ def test_two_dimensional_tensor_table(m):
     """The classical dihedral tensor table, clause by clause."""
     alg = dihedral_algebra(m)
     n = 2 * m
-    assert fusion_coeffs(alg, "lam", "lam") == {"eps": 1}
-    assert fusion_coeffs(alg, "chi", "chi") == {"eps": 1}
-    assert fusion_coeffs(alg, "lam", "chi") == {"lamchi": 1}
+    assert alg.fusion[("lam", "lam")] == {"eps": 1}
+    assert alg.fusion[("chi", "chi")] == {"eps": 1}
+    assert alg.fusion[("lam", "chi")] == {"lamchi": 1}
     for l in range(1, m):
-        assert fusion_coeffs(alg, "lam", l) == {l: 1}
-        assert fusion_coeffs(alg, "chi", l) == {m - l: 1}
+        assert alg.fusion[("lam", l)] == {l: 1}
+        assert alg.fusion[("chi", l)] == {m - l: 1}
         if 2 * l < m:
-            assert fusion_coeffs(alg, l, l) == {"eps": 1, "lam": 1, 2 * l: 1}
+            assert alg.fusion[(l, l)] == {"eps": 1, "lam": 1, 2 * l: 1}
         else:
-            assert fusion_coeffs(alg, l, l) == {"eps": 1, "lam": 1, n - 2 * l: 1}
+            assert alg.fusion[(l, l)] == {"eps": 1, "lam": 1, n - 2 * l: 1}
         for t in range(1, m):
             if t == l:
                 continue
@@ -98,7 +96,7 @@ def test_two_dimensional_tensor_table(m):
                 want = {abs(l - t): 1, "chi": 1, "lamchi": 1}
             else:
                 want = {abs(l - t): 1, n - l - t: 1}
-            assert fusion_coeffs(alg, l, t) == want
+            assert alg.fusion[(l, t)] == want
 
 
 def test_custom_matches_builtin(alg3):

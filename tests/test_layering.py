@@ -1,5 +1,6 @@
 """The two routes stay separate: the matrix oracle and the closed rules
-import nothing of each other, read off the package's import statements."""
+import nothing of each other, read off the package's import statements.
+And the public surface is what the package and the bench call."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,45 @@ def test_no_unused_package_imports():
     assert "decompose" in names
     unused = [hit for name in names for hit in _unused_package_imports(name)]
     assert not unused, unused
+
+
+# Public names that nothing in the package or the bench calls, each with
+# the reason a library user needs it anyway.
+UNCALLED_EXPORTS = {
+    "validate": "the representation check a caller runs on a hand-built "
+                "ExplicitModule before decompose, which decompose's docstring cites",
+}
+
+
+def _references(path: Path) -> set:
+    """Names that a Name or Attribute node of the file reads, outside the
+    function or class that defines that same name (a def does not call
+    itself into use).  Strings, so docstrings and __all__ lists, are no
+    references."""
+    out = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in defining:
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in defining:
+            out.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(ast.parse(path.read_text()), frozenset())
+    return out
+
+
+def test_every_export_has_a_caller():
+    bench = PACKAGE.parents[1] / "bench"
+    files = [p for p in PACKAGE.glob("*.py") if p.stem != "__init__"]
+    files += sorted(bench.glob("*.py"))
+    assert len(files) > len(list(PACKAGE.glob("*.py")))
+    used = set().union(*(_references(p) for p in files))
+    uncalled = {name for name in hopfore.__all__ if name not in used}
+    assert uncalled == set(UNCALLED_EXPORTS), (
+        f"exports with no caller and no listed reason: "
+        f"{sorted(uncalled - set(UNCALLED_EXPORTS))}; listed exports that "
+        f"gained a caller: {sorted(set(UNCALLED_EXPORTS) - uncalled)}")

@@ -49,8 +49,7 @@ def test_mul_known():
     a = M(1, [[1, 2], [3, 4]])
     b = M(1, [[0, 1], [1, 0]])
     assert a @ b == M(1, [[2, 1], [4, 3]])
-    assert a ** 2 == M(1, [[7, 10], [15, 22]])
-    assert a ** 0 == Matrix.identity(1, 2)
+    assert a @ a == M(1, [[7, 10], [15, 22]])
 
 
 def test_shape_mismatch():
@@ -62,7 +61,6 @@ def test_shape_mismatch():
 
 def test_rank_and_kernel():
     a = M(1, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert a.rank() == 2
     reduced, pivots = sp_rref(a.rows, a.ncols)
     one = Cyclotomic.one(1)
     assert pivots == [0, 1]
@@ -70,7 +68,7 @@ def test_rank_and_kernel():
     # the free column 2 gives the kernel vector (-1, -1, 1)
     kernel = _free_column_kernel(1, reduced, pivots, a.ncols)
     assert kernel == [M(1, [[-1], [-1], [1]])]
-    assert (a @ kernel[0]).is_zero()
+    assert not any((a @ kernel[0]).rows)
 
 
 def test_tensor_product_shape_and_values():
@@ -90,15 +88,16 @@ def test_equality_and_hash_are_canonical(alg3):
     a = M(3, [[1, 0, Cyclotomic.zeta(3)], [0, 0, 0]])
     b = M(3, [[0, 2, 0], [1, -1, 0]])
     # cancellations must leave no stored zeros behind
-    c = a + b - b
+    c = a + b + b.scale(-1)
     assert c == a and hash(c) == hash(a)
     assert c.rows == ({0: Cyclotomic.one(3), 2: Cyclotomic.zeta(3)}, {})
     # a Kronecker product with a zero row, against its dense literal
     k = M(3, [[1], [0]]).tensor_product(M(3, [[0, 2]]))
     lit = M(3, [[0, 2], [0, 0]])
     assert k == lit and hash(k) == hash(lit)
-    assert (a - a) == M(3, [[0, 0, 0], [0, 0, 0]])
-    assert hash(a - a) == hash(M(3, [[0, 0, 0], [0, 0, 0]]))
+    zero = a + a.scale(-1)
+    assert zero == M(3, [[0, 0, 0], [0, 0, 0]])
+    assert hash(zero) == hash(M(3, [[0, 0, 0], [0, 0, 0]]))
     assert a != M(3, [[1, 0, Cyclotomic.zeta(3)], [0, 0, 1]])
     assert {a: 1}[c] == 1
     # AlgebraData hashes its simples' matrices: built ones and ones read
@@ -114,7 +113,7 @@ def test_cyclotomic_entries():
     z = Cyclotomic.zeta(4)
     a = M(4, [[z, 1], [0, z]])
     assert (a @ a)[0, 1] == 2 * z
-    assert a.rank() == 2
+    assert len(sp_rref(a.rows, a.ncols)[1]) == 2
 
 
 def test_literals_round_trip():
@@ -129,9 +128,9 @@ def test_sparse_matches_dense():
     assert a[1, 1] == Cyclotomic.zero(1) and a[0, 2] == 3 * one
     assert Matrix.from_rows(1, a.rows, 3) == a
     _, pivots = sp_rref(a.rows, 3)
-    assert len(pivots) == a.rank() == 2
+    assert len(pivots) == 2
     # row rank equals column rank
-    assert len(sp_rref(_transpose(a.rows, 3), 3)[1]) == a.rank()
+    assert len(sp_rref(_transpose(a.rows, 3), 3)[1]) == 2
     # the routines leave their inputs alone
     assert a == M(1, [[1, 0, 3], [0, 0, 0], [0, 1, 0]])
 
@@ -150,8 +149,8 @@ def test_rank_nullity(rows):
     assert sp_rref(list(a.rows) + reduced, a.ncols) == (reduced, pivots)
     # each free column gives a kernel vector, so rank + nullity = ncols
     kernel = _free_column_kernel(1, reduced, pivots, a.ncols)
-    assert a.rank() + len(kernel) == a.ncols
-    assert all((a @ k).is_zero() for k in kernel)
+    assert len(pivots) + len(kernel) == a.ncols
+    assert not any(row for k in kernel for row in (a @ k).rows)
 
 
 def _dense_rref(order, rows, ncols):

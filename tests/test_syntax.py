@@ -5,10 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfore.cyclotomic import Cyclotomic, Rational
-from hopfore.errors import ExprSyntaxError, UnknownLabel
+from hopfore.errors import ExprSyntaxError, InvalidParameter, UnknownLabel
 from hopfore.labels import EIG, NIL, IndecLabel, canonicalize
 from hopfore.greenring import GREEN, GROTH, eval_expr, green_basis, to_groth, unit
-from hopfore.syntax import format_label, format_multiset, parse_cyclotomic, parse_label
+from hopfore.syntax import (
+    MAX_DIGITS, MAX_EXPONENT, MAX_SCALAR_BITS, format_label, format_multiset,
+    parse_cyclotomic, parse_label,
+)
 
 
 def test_cyclotomic_literals():
@@ -26,6 +29,26 @@ def test_cyclotomic_literal_errors():
         parse_cyclotomic(6, "w +")
     with pytest.raises(ExprSyntaxError):
         parse_cyclotomic(6, "q")
+
+
+def test_literal_limits():
+    # the longest integer token and the largest exponent are read
+    assert parse_cyclotomic(6, "9" * MAX_DIGITS) == int("9" * MAX_DIGITS)
+    assert parse_cyclotomic(6, f"1^{MAX_EXPONENT}") == 1
+    with pytest.raises(ExprSyntaxError, match="digits"):
+        parse_cyclotomic(6, "1 + " + "9" * (MAX_DIGITS + 1))
+    with pytest.raises(InvalidParameter, match="exponent"):
+        parse_cyclotomic(6, f"1^{MAX_EXPONENT + 1}")
+    # sizes are bounded before the operation runs, at every accepted size
+    # the value prints, and nesting cannot multiply exponents past the bound
+    assert MAX_SCALAR_BITS == 8192
+    big = parse_cyclotomic(6, "(2^1000)^8")
+    assert big == 2 ** 8000
+    assert parse_cyclotomic(6, big.to_literal()) == big
+    for src in ("(2^1000)^9", "((10^999)^999)^999", "(2^1000)^4 * (2^1000)^5",
+                " + ".join(f"1/{10 ** 999 + k}" for k in range(1, 5))):
+        with pytest.raises(InvalidParameter, match="bits"):
+            parse_cyclotomic(6, src)
 
 
 def test_parse_label_basic(alg3):
