@@ -198,7 +198,7 @@ class AlgebraData:
         "group", "field_order", "central", "chi", "q", "s", "fusion_ready",
         "simples", "labels", "label_index", "simple_by_label", "sigma",
         "omega", "orbits", "orbit_rep", "orbit_reps", "fusion",
-        "char_form", "char_den", "kind", "descriptor", "_hash",
+        "char_form", "char_den", "kind", "descriptor", "_omega_s", "_hash",
     )
 
     def __init__(self, group, simples, central, chi, field_order, kind, descriptor):
@@ -350,6 +350,7 @@ class AlgebraData:
             omega[s.label] = w
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "_omega_s", {l: w ** self.s for l, w in omega.items()})
         # sigma-orbits, each listed from its first label in algebra order.
         seen = set()
         orbits = []
@@ -407,8 +408,9 @@ class AlgebraData:
         return label
 
     def omega_s(self, label) -> Cyclotomic:
-        """omega_i^s; constant on sigma-orbits."""
-        return self.omega[label] ** self.s
+        """omega_i^s, stored when the algebra is built; constant on
+        sigma-orbits."""
+        return self._omega_s[label]
 
     def zero(self) -> Cyclotomic:
         return Cyclotomic.zero(self.field_order)

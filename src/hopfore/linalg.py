@@ -238,21 +238,6 @@ def sp_rref(rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
     return pivot_rows, pivots
 
 
-def sp_scalar_shift(rows: list[dict], n: int, value) -> list[dict]:
-    """rows - value * I as fresh dicts."""
-    out = [dict(r) for r in rows]
-    while len(out) < n:
-        out.append({})
-    for i in range(n):
-        cur = out[i].get(i)
-        cur = (cur - value) if cur is not None else -value
-        if cur:
-            out[i][i] = cur
-        elif i in out[i]:
-            del out[i][i]
-    return out
-
-
 def sp_matmul(a: list[dict], b: list[dict]) -> list[dict]:
     """a @ b on dict rows."""
     out = []

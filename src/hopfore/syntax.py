@@ -20,10 +20,12 @@ meaning V[1](name).  The dihedral algebras additionally accept x, y, z,
 y[b], w[b] shorthands.  Labels are canonicalized while parsing, so
 printing is a left inverse of parsing on canonical forms.
 
-Three limits keep reading cheap and every scalar printable: an integer
+Four limits keep reading cheap and every scalar printable: an integer
 token has at most MAX_DIGITS digits, "^" takes exponents up to
-MAX_EXPONENT, and a scalar + - * or ^ whose result could pass
-MAX_SCALAR_BITS is refused before it is computed.
+MAX_EXPONENT, a scalar + - * or ^ whose result could pass
+MAX_SCALAR_BITS is refused before it is computed, and a label's module
+has dimension at most MAX_LABEL_DIM, since both routes spend work that
+grows with a label's length.
 """
 
 from dataclasses import dataclass
@@ -36,6 +38,8 @@ from .labels import EIG, NIL, IndecLabel, canonicalize, label_sort_key
 _PUNCT = set("+-*^/()[];")
 
 MAX_EXPONENT = 1000
+# t * dim V_i for V[t](i), t * s * dim V_i for V[t](i;b)
+MAX_LABEL_DIM = 256
 # far below the 4300 decimal digits (14284 bits) that str() of an int allows
 MAX_SCALAR_BITS = 8192
 # enough for the printed integers of a scalar within MAX_SCALAR_BITS
@@ -229,6 +233,7 @@ def _parse_label_tail(ts, alg, vtok):
             stok.pos)
     if simple not in alg.label_index:
         raise UnknownLabel(f"no simple labelled {simple!r}")
+    beta = None
     if ts.eat(";"):
         btok = ts.peek()
         beta = _scalar(ts, alg.field_order)
@@ -238,8 +243,15 @@ def _parse_label_tail(ts, alg, vtok):
                 f"V[{t}]({simple};0) is the nilpotent module "
                 f"V[{t * alg.s}]({simple}); write that label instead",
                 btok.pos)
+    else:
+        ts.expect(")")
+    dim = t * alg.simple_by_label[simple].dim * (alg.s if beta else 1)
+    if dim > MAX_LABEL_DIM:
+        raise InvalidParameter(
+            f"a V[{t}] label on {simple!r} has dimension {dim}, "
+            f"above the limit {MAX_LABEL_DIM}")
+    if beta:
         return canonicalize(alg, EIG, t, simple, beta)
-    ts.expect(")")
     return canonicalize(alg, NIL, t, simple)
 
 

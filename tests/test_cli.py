@@ -1,11 +1,12 @@
 """Command line behavior: outputs, JSON shapes, exit codes."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from hopfore import cli
+from hopfore import cli, greenring
 
 
 def run(capsys, argv):
@@ -147,6 +148,27 @@ def test_unbounded_inputs_exit_2(capsys, case):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and ("limit" in err or "digits" in err), err
     assert "Traceback" not in err
+
+
+def test_long_labels_refused_before_any_work(capsys, monkeypatch):
+    # the label limit is read while parsing, so neither route starts; the
+    # routes are patched to fail, so a lost limit fails fast, not hangs
+    def refuse(*args):
+        raise AssertionError("a route ran on a label above the limit")
+
+    monkeypatch.setattr(cli, "build_module", refuse)
+    monkeypatch.setattr(cli, "tensor_labels", refuse)
+    monkeypatch.setattr(greenring, "tensor_labels", refuse)
+    for argv in (["ring", "mul", "--ring", "green",
+                  "--expr", "V[99999999999](eps)*V[99999999999](eps)"],
+                 ["tensor", "--left", "V[100000](eps)", "--right", "x",
+                  "--method", "matrix"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "above the limit" in err, err
+        assert "Traceback" not in err
 
 
 def test_ring_mul_green_power_basis_rejected(capsys):

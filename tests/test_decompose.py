@@ -1,5 +1,8 @@
 """Matrix-level decomposition oracle."""
 
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +10,12 @@ from hypothesis import strategies as st
 from hopfore.cyclotomic import Cyclotomic, Rational
 from hopfore.decompose import decompose, isotypic_multiplicities
 from hopfore.errors import (
-    CandidatePoolIncomplete, NonIntegerMultiplicity, NotFusionReady,
+    CandidatePoolIncomplete, InvalidParameter, NonIntegerMultiplicity, NotFusionReady,
 )
+from hopfore.grid import check_pair, grid_labels
 from hopfore.labels import EIG, NIL, IndecLabel, canonicalize
 from hopfore.linalg import Matrix
-from hopfore.modules import ExplicitModule, module_eigen, module_nilpotent, tensor
+from hopfore.modules import ExplicitModule, module_eigen, module_nilpotent, tensor, validate
 
 from conftest import direct_sum
 
@@ -122,6 +126,11 @@ def test_candidate_pool_incomplete(alg3):
     assert got == {canonicalize(alg3, EIG, 1, "eps", 7): 1}
 
 
+def _conjugate(mod, p, pinv):
+    gens = [p @ g @ pinv for g in mod.gen_actions]
+    return ExplicitModule(mod.alg, gens, p @ mod.x_action @ pinv, mod.provenance)
+
+
 def _permutation_conjugate(mod, perm):
     n = mod.alg.field_order
     zero = Cyclotomic.zero(n)
@@ -130,8 +139,7 @@ def _permutation_conjugate(mod, perm):
                    for r in range(mod.dim)])
     pinv = Matrix(n, [[one if perm[c] == r else zero for c in range(mod.dim)]
                       for r in range(mod.dim)])
-    gens = [p @ g @ pinv for g in mod.gen_actions]
-    return ExplicitModule(mod.alg, gens, p @ mod.x_action @ pinv, mod.provenance)
+    return _conjugate(mod, p, pinv)
 
 
 def test_basis_independence(alg3):
@@ -141,6 +149,143 @@ def test_basis_independence(alg3):
     perm = perm[1:] + perm[:1]
     shuffled = _permutation_conjugate(mod, perm)
     assert decompose(shuffled).counter() == want
+
+
+def test_central_element_must_act_diagonally(alg3):
+    # the same module in a basis that mixes two a-weight spaces: still a
+    # representation, but a is no longer diagonal, and decompose says so
+    mod = tensor(module_nilpotent(alg3, 2, 1), module_eigen(alg3, 1, "eps", 2))
+    weights = [row[k] for k, row in enumerate(mod.element_action(alg3.central).rows)]
+    j = next(k for k, w in enumerate(weights) if w != weights[0])
+    n = alg3.field_order
+    one, zero = Cyclotomic.one(n), Cyclotomic.zero(n)
+
+    def shear(sign):
+        return Matrix(n, [[one if r == c else sign * one if (r, c) == (0, j) else zero
+                           for c in range(mod.dim)] for r in range(mod.dim)])
+
+    mixed = _conjugate(mod, shear(1), shear(-1))
+    assert validate(mixed) == []
+    assert mixed.element_action(alg3.central).rows[0].keys() == {0, j}
+    with pytest.raises(InvalidParameter, match="diagonal"):
+        decompose(mixed)
+    # a pure-Nil module has no nonzero candidate and never reads the
+    # weight spaces: c = 0 counts on the whole module in any basis
+    nil = module_nilpotent(alg3, 2, 1)
+    sheared = _conjugate(nil, Matrix(n, [[1, 0, 1, 0], [0, 1, 0, 0],
+                                         [0, 0, 1, 0], [0, 0, 0, 1]]),
+                         Matrix(n, [[1, 0, -1, 0], [0, 1, 0, 0],
+                                    [0, 0, 1, 0], [0, 0, 0, 1]]))
+    assert sheared.element_action(alg3.central).rows[0].keys() == {0, 2}
+    assert decompose(sheared).counter() == {IndecLabel(NIL, 2, 1): 1}
+    # with a diagonal, an x^s that leaves the weight spaces is no
+    # representation, and decompose says that instead of miscounting
+    m = module_eigen(alg3, 1, "eps", 2)
+    bent = ExplicitModule(alg3, list(m.gen_actions), Matrix(n, [[0, 1], [1, 1]]), [2])
+    assert validate(bent)
+    with pytest.raises(InvalidParameter, match="weight spaces"):
+        decompose(bent)
+
+
+def _sort(values):
+    return tuple(sorted(values, key=lambda v: v.sort_key()))
+
+
+def test_two_nonzero_eigenvalues(alg3):
+    # Eig (+) Eig with two eigenvalues of x^s, and Eig (+) Nil: the loop
+    # tries both nonzero candidates, then 0 only while the module is unfilled
+    total = direct_sum(module_eigen(alg3, 1, "eps", 2), module_eigen(alg3, 2, 1, -1))
+    got = decompose(total)
+    assert got.counter() == {canonicalize(alg3, EIG, 1, "eps", 2): 1,
+                             canonicalize(alg3, EIG, 2, 1, -1): 1}
+    assert got.eigenvalues_found == _sort([alg3.scalar(2), alg3.scalar(-1)])
+    assert got.total_dim == 2 + 8
+    mixed = direct_sum(module_nilpotent(alg3, 3, "chi"),
+                       module_eigen(alg3, 1, "lam", Rational(1, 2)))
+    got = decompose(mixed)
+    assert got.counter() == {IndecLabel(NIL, 3, "chi"): 1,
+                             canonicalize(alg3, EIG, 1, "lam", Rational(1, 2)): 1}
+    assert got.eigenvalues_found == (alg3.scalar(Rational(1, 2)),)
+
+
+def _count_calls(monkeypatch):
+    """Patch decompose's string count to record (c, dimension found)."""
+    counted = []
+    decompose_module = sys.modules["hopfore.decompose"]
+    count = decompose_module._count_strings
+
+    def counting(alg, labels, c, *rest):
+        found = count(alg, labels, c, *rest)
+        counted.append((c, found))
+        return found
+
+    monkeypatch.setattr(decompose_module, "_count_strings", counting)
+    return counted
+
+
+def test_wrong_candidate_still_incomplete(alg3, monkeypatch):
+    m = module_eigen(alg3, 1, "eps", 7)
+    wrong = ExplicitModule(alg3, list(m.gen_actions), m.x_action, [5])
+    with pytest.raises(CandidatePoolIncomplete, match="cover 0 of 2"):
+        decompose(wrong)
+    # 5 sorts first and misses, then 7 fills the module: 0 is not tried
+    both = ExplicitModule(alg3, list(m.gen_actions), m.x_action, [5, 7])
+    counted = _count_calls(monkeypatch)
+    got = decompose(both)
+    assert got.counter() == {canonicalize(alg3, EIG, 1, "eps", 7): 1}
+    assert got.eigenvalues_found == (alg3.scalar(7),)
+    assert counted == [(alg3.scalar(5), 0), (alg3.scalar(7), 1)]
+
+
+def test_eigenvalues_on_both_weight_cosets_c8(c8):
+    # s = 4 and q = zeta_8^2: the weights zeta_8^l of c1 and c2 lie in the
+    # two <q>-cosets, so each eigenvalue is counted on its own weight space
+    assert c8.s == 4 and c8.q == Cyclotomic.zeta(8, 2)
+    total = direct_sum(direct_sum(module_eigen(c8, 1, "c1", 3),
+                                  module_eigen(c8, 2, "c2", 5)),
+                       direct_sum(module_eigen(c8, 1, "c6", 3),
+                                  module_nilpotent(c8, 3, "c3")))
+    got = decompose(total)
+    assert got.counter() == {canonicalize(c8, EIG, 1, "c1", 3): 1,
+                             canonicalize(c8, EIG, 2, "c2", 5): 1,
+                             canonicalize(c8, EIG, 1, "c6", 3): 1,
+                             IndecLabel(NIL, 3, "c3"): 1}
+    assert got.eigenvalues_found == _sort([c8.scalar(3), c8.scalar(5)])
+    assert got.total_dim == 4 + 8 + 4 + 3
+
+
+GRID_BETAS = (1, -1, 2, Rational(1, 2))
+
+
+@pytest.mark.parametrize("m, nil_tmax, eig_tmax, seed", [
+    (5, 3, 2, 20261101),  # the acceptance grid
+    (3, 6, 3, 20261102),  # long strings
+])
+def test_grid_pairs_count_each_weight_space_once(request, monkeypatch, m, nil_tmax,
+                                                 eig_tmax, seed):
+    # Every product of two indecomposables has one eigenvalue of x^s, and
+    # the dihedral weights +-1 form one <q>-coset (q = -1).  So each pair
+    # needs exactly one string count: on one weight space for a nonzero
+    # eigenvalue, on the whole module for 0.  A second count would be a
+    # candidate that misses.
+    alg = request.getfixturevalue(f"alg{m}")
+    assert alg.q == -1
+    counted = _count_calls(monkeypatch)
+    labels = grid_labels(alg, nil_tmax, eig_tmax, GRID_BETAS)
+    pairs = random.Random(seed).sample([(l, r) for l in labels for r in labels], 400)
+    cache = {}
+    for left, right in pairs:
+        counted.clear()
+        assert check_pair(alg, left, right, cache) is None
+        eig = [lab for lab in (left, right) if lab.kind == EIG]
+        if not eig:
+            want = alg.zero()
+        elif len(eig) == 1:
+            want = eig[0].beta
+        else:
+            want = alg.omega_s(right.i) * left.beta + right.beta
+        assert len(counted) == 1 and counted[0][0] == want, (left, right, counted)
+        assert counted[0][1] > 0
 
 
 @settings(max_examples=15, deadline=None)

@@ -9,8 +9,8 @@ from hopfore.errors import ExprSyntaxError, InvalidParameter, UnknownLabel
 from hopfore.labels import EIG, NIL, IndecLabel, canonicalize
 from hopfore.greenring import GREEN, GROTH, eval_expr, green_basis, to_groth, unit
 from hopfore.syntax import (
-    MAX_DIGITS, MAX_EXPONENT, MAX_SCALAR_BITS, format_label, format_multiset,
-    parse_cyclotomic, parse_label,
+    MAX_DIGITS, MAX_EXPONENT, MAX_LABEL_DIM, MAX_SCALAR_BITS, format_label,
+    format_multiset, parse_cyclotomic, parse_label,
 )
 
 
@@ -49,6 +49,18 @@ def test_literal_limits():
                 " + ".join(f"1/{10 ** 999 + k}" for k in range(1, 5))):
         with pytest.raises(InvalidParameter, match="bits"):
             parse_cyclotomic(6, src)
+
+
+def test_label_dimension_limit(alg3):
+    # V[t](i) has dimension t dim V_i, V[t](i;b) t s dim V_i (s = 2 here)
+    assert MAX_LABEL_DIM == 256
+    for ok, over in (("V[256](eps)", "V[257](eps)"), ("V[128](1)", "V[129](1)"),
+                     ("V[64](2;3)", "V[65](2;3)"), ("V[128](eps;-1)", "V[129](eps;-1)")):
+        parse_label(ok, alg3)
+        with pytest.raises(InvalidParameter, match="above the limit 256"):
+            parse_label(over, alg3)
+    with pytest.raises(InvalidParameter, match="dimension 99999999999"):
+        parse_label("(V[99999999999](eps))", alg3)
 
 
 def test_parse_label_basic(alg3):
