@@ -31,6 +31,10 @@ little language in the syntax module ("V[2](eps;1)", "x^3 - 3*x", ...).
 
 Exit codes: 0 success; 1 mathematical disagreement or failed verification;
 2 usage errors (bad flags, unparsable input, unknown labels).
+
+The matrix route builds the tensor product of two modules, so `tensor
+--method matrix|both` and `verify fusion` refuse, with exit 2 and before
+any module is built, a product of dimension above MAX_TENSOR_DIM.
 """
 
 import argparse
@@ -52,9 +56,13 @@ from .greenring import (
 )
 from .grid import build_module, grid_labels, run_grid
 from .groups import algebra_from_descriptor, dihedral_algebra
-from .labels import sorted_items
+from .labels import label_dim, sorted_items
 from .modules import tensor
 from .syntax import format_label, format_multiset, parse_cyclotomic, parse_label
+
+# the dimension of A (x) B is dim A * dim B, while a label's own is bounded
+# by syntax.MAX_LABEL_DIM
+MAX_TENSOR_DIM = 1024
 
 _USAGE_ERRORS = (
     ExprSyntaxError, UnknownLabel, UnsupportedLabel, InvalidParameter, ZeroBeta,
@@ -96,6 +104,12 @@ def _parse_betas(alg, text):
             continue
         vals.append(parse_cyclotomic(alg.field_order, part))
     return vals
+
+
+def _check_tensor_dim(what, dim):
+    if dim > MAX_TENSOR_DIM:
+        raise InvalidParameter(
+            f"{what} has dimension {dim}, above the limit {MAX_TENSOR_DIM}")
 
 
 def _multiset_json(alg, counts):
@@ -140,6 +154,9 @@ def cmd_tensor(args):
     alg = _load_algebra(args)
     left = parse_label(args.left, alg)
     right = parse_label(args.right, alg)
+    if args.method != "closed":
+        _check_tensor_dim("the tensor product",
+                          label_dim(alg, left) * label_dim(alg, right))
     out = {"left": format_label(left), "right": format_label(right)}
     closed = matrix = None
     if args.method in ("closed", "both"):
@@ -206,6 +223,9 @@ def cmd_verify_fusion(args):
     betas = _parse_betas(alg, args.betas)
     teig = args.teig if args.teig is not None else min(2, args.tmax)
     labels = grid_labels(alg, args.tmax, teig, betas)
+    # grid labels do not pass through the parser's label limit
+    _check_tensor_dim("the grid's largest tensor product",
+                      max((label_dim(alg, lab) for lab in labels), default=0) ** 2)
     summary = run_grid(alg, labels)
     if args.json:
         print(json.dumps(summary, indent=2))

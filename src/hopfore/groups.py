@@ -21,10 +21,21 @@ once.
 The inner product is a fixed rational linear form on the power-basis
 coordinates of the class values (Serre, Linear Representations of Finite
 Groups, 2.3), so it is stored once per algebra as integers
-(AlgebraData.char_form over AlgebraData.char_den) and evaluated by
-integer dot products.  The form is built only once every simple has been
-checked to be a homomorphism, since only then are the simple characters
-class functions.
+(AlgebraData.char_form over AlgebraData.char_den).  The form is built only
+once every simple has been checked to be a homomorphism, since only then
+are the simple characters class functions.  It is evaluated for every
+simple and coordinate at once by Kronecker substitution: each column of
+char_form, one entry per (simple, coordinate), is packed into one integer
+with W-bit slots, so a class function costs one big-integer product per
+nonzero numerator, and the slots are read back as signed integers.  W is
+chosen from the inputs so that no slot can reach 2^(W-1), which makes the
+read-back exact; see AlgebraData.multiplicities.
+
+Element matrices come from one breadth-first pass over the group
+(element_matrices): each element's matrix is its parent's times one
+generator matrix, and every other (element, generator) product is compared
+against the matrix already built, which checks the group table with
+exactly |G| * #generators matrix products.
 """
 
 from __future__ import annotations
@@ -147,9 +158,13 @@ def _conjugacy_classes(mul, inverse) -> tuple[tuple[int, int], ...]:
 
 
 class SimpleRep:
-    """One simple module: generator matrices, all element matrices, character."""
+    """One simple module: generator matrices, all element matrices, character.
 
-    __slots__ = ("label", "dim", "gen_mats", "element_mats", "char")
+    violations lists where the matrices break the group table (see
+    element_matrices); AlgebraData refuses a simple with any.
+    """
+
+    __slots__ = ("label", "dim", "gen_mats", "element_mats", "char", "violations")
 
     def __init__(self, label, gen_mats, group: GroupData, field_order: int):
         gen_mats = tuple(
@@ -160,35 +175,42 @@ class SimpleRep:
         for m in gen_mats:
             if m.nrows != m.ncols or m.nrows != dim:
                 raise InvalidParameter(f"simple {label!r}: matrices must be square, same size")
-        element_mats = expand_words(group, gen_mats, field_order, dim)
+        element_mats, violations = element_matrices(group, gen_mats, field_order, dim)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gen_mats", gen_mats)
         object.__setattr__(self, "element_mats", tuple(element_mats))
         object.__setattr__(self, "char", tuple(m.trace() for m in element_mats))
+        object.__setattr__(self, "violations", tuple(violations))
 
     def __setattr__(self, name, value):
         raise AttributeError("SimpleRep is immutable")
 
 
-def expand_words(group: GroupData, gen_mats, field_order: int, dim: int) -> list[Matrix]:
-    """Element matrices from generator matrices via the stored words."""
-    mats = []
-    for word in group.words:
-        m = Matrix.identity(field_order, dim)
-        for k in word:
-            m = m @ gen_mats[k]
-        mats.append(m)
-    return mats
+def element_matrices(group: GroupData, gen_mats, field_order: int, dim: int):
+    """(mats, violations): the matrix of every element, and the sorted
+    (element, generator index) pairs (g, k) at which mats[g] times
+    gen_mats[k] is not the matrix of g times the k-th generator.
 
-
-def table_violations(group: GroupData, gen_mats, mats) -> list[tuple[int, int]]:
-    """The (element, generator index) pairs (g, k) at which mats[g] times
-    gen_mats[k] is not the matrix of g times the k-th generator; empty
-    exactly when mats, one per element, represent the group table."""
-    return [(g, k) for g in range(group.size)
-            for k, gen in enumerate(group.generators)
-            if mats[g] @ gen_mats[k] != mats[group.mul[g][gen]]]
+    One breadth-first pass in GroupData's order: the product that first
+    reaches an element is its matrix, the product along its stored word;
+    every other product is compared with the matrix already there.  The
+    list is empty exactly when the matrices represent the group table.
+    """
+    mats = {group.identity: Matrix.identity(field_order, dim)}
+    queue = [group.identity]
+    violations = []
+    for g in queue:
+        row = group.mul[g]
+        for k, gen in enumerate(group.generators):
+            prod = mats[g] @ gen_mats[k]
+            target = row[gen]
+            if target not in mats:
+                mats[target] = prod
+                queue.append(target)
+            elif prod != mats[target]:
+                violations.append((g, k))
+    return [mats[g] for g in range(group.size)], sorted(violations)
 
 
 class AlgebraData:
@@ -199,6 +221,7 @@ class AlgebraData:
         "simples", "labels", "label_index", "simple_by_label", "sigma",
         "omega", "orbits", "orbit_rep", "orbit_reps", "fusion",
         "char_form", "char_den", "kind", "descriptor", "_omega_s", "_hash",
+        "_form_bits", "_packs",
     )
 
     def __init__(self, group, simples, central, chi, field_order, kind, descriptor):
@@ -242,9 +265,11 @@ class AlgebraData:
             raise InvalidParameter("chi needs one value per group element")
         if chi[group.identity] != 1:
             raise InvalidParameter("chi(identity) must be 1")
+        # with chi(identity) = 1 and every element a word in the generators,
+        # chi(g gen) = chi(g) chi(gen) for each generator makes chi multiplicative
         for g in range(group.size):
-            for h in range(group.size):
-                if chi[group.mul[g][h]] != chi[g] * chi[h]:
+            for gen in group.generators:
+                if chi[group.mul[g][gen]] != chi[g] * chi[gen]:
                     raise InvalidParameter("chi is not a homomorphism")
         total = sum(s.dim * s.dim for s in self.simples)
         if total != group.size:
@@ -254,7 +279,7 @@ class AlgebraData:
         # the others.  The class sums below are valid only once every simple
         # has passed the homomorphism check.
         for s in self.simples:
-            if table_violations(group, s.gen_mats, s.element_mats):
+            if s.violations:
                 raise InvalidParameter(
                     f"simple {s.label!r}: matrices violate the group table")
         self._build_char_form()
@@ -281,15 +306,37 @@ class AlgebraData:
         """
         group, order = self.group, self.field_order
         powers = [Cyclotomic.zeta(order, j) for j in range(field_degree(order))]
-        terms = [[s.char[group.inverse[g]] * size / group.size * z
-                  for g, size in group.classes for z in powers]
-                 for s in self.simples]
+        terms = []
+        for s in self.simples:
+            weights = [s.char[group.inverse[g]] * Rational(size, group.size)
+                       for g, size in group.classes]
+            terms.append([w * z for w in weights for z in powers])
         den = lcm(*(t.den for row in terms for t in row))
+        form = tuple(tuple(tuple(t.num[r] * (den // t.den) for t in row)
+                           for r in range(len(powers)))
+                     for row in terms)
         object.__setattr__(self, "char_den", den)
-        object.__setattr__(self, "char_form", tuple(
-            tuple(tuple(t.num[r] * (den // t.den) for t in row)
-                  for r in range(len(powers)))
-            for row in terms))
+        object.__setattr__(self, "char_form", form)
+        object.__setattr__(self, "_form_bits", max(
+            abs(v) for rows in form for row in rows for v in row).bit_length())
+        object.__setattr__(self, "_packs", {})
+
+    def _packed_columns(self, width: int):
+        """(columns, bias) for slots of `width` bits, cached per width.
+
+        Slot i = s * d + r holds coordinate r of simple s: column k of
+        char_form packs to the sum of char_form[s][r][k] * 2^(width i),
+        and bias holds 2^(width - 1) in every slot.
+        """
+        packed = self._packs.get(width)
+        if packed is None:
+            slots = [row for rows in self.char_form for row in rows]
+            columns = tuple(
+                sum(v << (width * i) for i, v in enumerate(col) if v)
+                for col in zip(*slots))
+            bias = sum(1 << (width * i + width - 1) for i in range(len(slots)))
+            packed = self._packs[width] = (columns, bias)
+        return packed
 
     def multiplicities(self, traces) -> dict:
         """{label: <a, chi_label>} for the class function a given by its
@@ -302,6 +349,14 @@ class AlgebraData:
         integer, coordinate 0 a multiple of D * char_den and every other
         coordinate 0, whenever a is the character of a representation;
         anything else raises NonIntegerMultiplicity.
+
+        All the dot products are taken at once: the numerators multiply the
+        packed columns of char_form (_packed_columns), one big-integer
+        product each, and the sum holds every dot product in its own slot.
+        A dot product of n numerators is below n * max|numerator| *
+        max|form entry| < 2^(width - 2) in absolute value, so with the bias
+        every slot lies in [0, 2^width): the sum's base-2^width digits are
+        the biased dot products, read back with no carry between slots.
         """
         den = lcm(*(t.den for t in traces))
         keys, nums = [], []
@@ -313,11 +368,25 @@ class AlgebraData:
                     keys.append(k)
                     nums.append(a * f)
                 k += 1
+        need = (max(map(abs, nums), default=0).bit_length() + self._form_bits
+                + len(nums).bit_length() + 2)
+        width = 32
+        while width < need:
+            width *= 2
+        columns, bias = self._packed_columns(width)
+        total = sum(map(mul, nums, map(columns.__getitem__, keys)), bias)
+        # the d slots of a simple: coordinate 0, then d - 1 that must be 0,
+        # that is, hold the bias alone
+        d = len(self.char_form[0])
+        step, half = width // 8, 1 << (width - 1)
+        block = step * d
+        raw = total.to_bytes(block * len(self.simples), "little")
+        zeros = half.to_bytes(step, "little") * (d - 1)
         full = den * self.char_den
         out = {}
-        for s, rows in zip(self.simples, self.char_form):
-            coords = [sum(map(mul, map(row.__getitem__, keys), nums)) for row in rows]
-            val, irrational = coords[0], any(coords[1:])
+        for start, s in zip(range(0, len(raw), block), self.simples):
+            val = int.from_bytes(raw[start:start + step], "little") - half
+            irrational = raw[start + step:start + block] != zeros
             if irrational or val < 0 or val % full:
                 shown = None if irrational else Rational(val, full)
                 raise NonIntegerMultiplicity(

@@ -36,7 +36,7 @@ from .errors import (
     InvalidParameter,
     ZeroBeta,
 )
-from .groups import AlgebraData, expand_words, table_violations
+from .groups import AlgebraData, element_matrices
 from .linalg import Matrix
 
 
@@ -199,15 +199,15 @@ def validate(m: ExplicitModule) -> list[str]:
 
     Checks that the generator matrices extend to a representation of the
     whole group table and that x skew-commutes with every generator by
-    chi^{-1}.  The element matrices are expanded here from the generator
-    words, not taken from element_action, so the check does not rest on
-    its Kronecker shortcut for tensor products.
+    chi^{-1}.  The element matrices are built here from the generator
+    matrices (element_matrices), not taken from element_action, so the
+    check does not rest on its Kronecker shortcut for tensor products.
     """
     findings = []
     alg = m.alg
     group = alg.group
-    mats = expand_words(group, m.gen_actions, alg.field_order, m.dim)
-    for g, k in table_violations(group, m.gen_actions, mats):
+    _, violations = element_matrices(group, m.gen_actions, alg.field_order, m.dim)
+    for g, k in violations:
         findings.append(
             f"group-relation: element {group.names[g]} * generator {k} "
             "violates the multiplication table")

@@ -1,16 +1,18 @@
 """Fixture algebras and the test-side oracles shared by several modules.
 
 The oracles stay off both routes they check: they build on Matrix,
-sp_rref, ExplicitModule and RingElement's constructor only, never on
-decompose or the closed rules.
+sp_rref, ExplicitModule, RingElement's constructor and an algebra's stored
+tables only, never on decompose or the closed rules.
 """
 
 from collections import Counter
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 import pytest
 
-from hopfore.cyclotomic import Cyclotomic
+from hopfore.cyclotomic import Cyclotomic, Rational
+from hopfore.errors import NonIntegerMultiplicity
 from hopfore.greenring import GROTH, RingElement
 from hopfore.groups import GroupData, custom_algebra, dihedral_algebra
 from hopfore.labels import TORSION, SimpleLabel
@@ -27,6 +29,53 @@ def mat_power(mat, e):
     out = Matrix.identity(mat.order, mat.nrows)
     for _ in range(e):
         out = out @ mat
+    return out
+
+
+def word_products(group, gen_mats, order, dim):
+    """The matrix of each element as the product of the generator matrices
+    along its stored word, one product per letter."""
+    mats = []
+    for word in group.words:
+        m = Matrix.identity(order, dim)
+        for k in word:
+            m = m @ gen_mats[k]
+        mats.append(m)
+    return mats
+
+
+def word_violations(group, gen_mats, mats):
+    """The (g, k) pairs at which mats[g] times gen_mats[k] is not the matrix
+    of g times the k-th generator, g first, then k."""
+    return [(g, k) for g in range(group.size)
+            for k, gen in enumerate(group.generators)
+            if mats[g] @ gen_mats[k] != mats[group.mul[g][gen]]]
+
+
+def reference_multiplicities(alg, traces):
+    """AlgebraData.multiplicities by one integer dot product per simple,
+    coordinate and nonzero numerator, with the same guard and message."""
+    den = lcm(*(t.den for t in traces))
+    keys, nums = [], []
+    k = 0
+    for t in traces:
+        f = den // t.den
+        for a in t.num:
+            if a:
+                keys.append(k)
+                nums.append(a * f)
+            k += 1
+    full = den * alg.char_den
+    out = {}
+    for s, rows in zip(alg.simples, alg.char_form):
+        coords = [sum(map(mul, map(row.__getitem__, keys), nums)) for row in rows]
+        val, irrational = coords[0], any(coords[1:])
+        if irrational or val < 0 or val % full:
+            shown = None if irrational else Rational(val, full)
+            raise NonIntegerMultiplicity(
+                f"isotypic multiplicity of {s.label!r} came out {shown}")
+        if val:
+            out[s.label] = val // full
     return out
 
 
@@ -161,6 +210,11 @@ def alg5():
 @pytest.fixture(scope="session")
 def alg7():
     return dihedral_algebra(7)
+
+
+@pytest.fixture(scope="session")
+def alg15():
+    return dihedral_algebra(15)
 
 
 @pytest.fixture(scope="session")

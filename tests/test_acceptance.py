@@ -2,8 +2,9 @@
 independent matrix oracle, every ring identity against exact arithmetic.
 
 Each test here is one acceptance gate; together they cover the full label
-grid (both dihedral parameters), two seeded samples of the m = 7 grid, a
-seeded sample of the m = 3 grid with long strings, the full C_8 grid with
+grid (both dihedral parameters), two seeded samples of the m = 7 grid,
+seeded samples of the m = 9 and m = 15 grids, a seeded sample of the
+m = 3 grid with long strings, the full C_8 grid with
 the nontrivial eigenvalue twist, seeded samples of the S_3 x C_4 and
 A_4 x C_3 grids, a hypothesis-drawn pair on a drawn fixture algebra, the
 power-basis combinatorics, the ring presentations, the structural
@@ -95,6 +96,25 @@ def test_differential_fusion_grid_m7_wide_sample(alg7):
     acceptance grid."""
     mismatches = _sample_mismatches(alg7, grid_labels(alg7, 3, 2, BETAS), 300,
                                     20261019)
+    assert mismatches == [], mismatches[:3]
+
+
+def test_differential_fusion_grid_m9_sample():
+    """Closed rules equal the matrix oracle on 300 seeded ordered pairs of
+    the m = 9 acceptance grid, over Q(zeta_18): Nil t up to 3, Eig t up to
+    2, betas 1, -1, 2, 1/2."""
+    alg = dihedral_algebra(9)
+    mismatches = _sample_mismatches(alg, grid_labels(alg, 3, 2, BETAS), 300,
+                                    20261024)
+    assert mismatches == [], mismatches[:3]
+
+
+def test_differential_fusion_grid_m15_sample(alg15):
+    """Closed rules equal the matrix oracle on 300 seeded ordered pairs of
+    the m = 15 grid, over Q(zeta_30): Nil t up to 2, Eig t 1, betas 1, -1."""
+    labels = grid_labels(alg15, 2, 1, (1, -1))
+    assert len(labels) == 2 * 18 + 2 * 9
+    mismatches = _sample_mismatches(alg15, labels, 300, 20261025)
     assert mismatches == [], mismatches[:3]
 
 

@@ -171,6 +171,47 @@ def test_long_labels_refused_before_any_work(capsys, monkeypatch):
         assert "Traceback" not in err
 
 
+def test_large_products_refused_before_any_work(capsys, monkeypatch):
+    # the product's dimension is checked before either route starts, and
+    # grid labels, which skip the parser's label limit, are checked too;
+    # the routes are patched to fail, so a lost limit fails fast, not hangs
+    class RouteRan(Exception):
+        pass
+
+    def refuse(*args):
+        raise RouteRan
+
+    for name in ("build_module", "tensor_labels", "run_grid"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert cli.MAX_TENSOR_DIM == 1024
+    product, grid = "the tensor product", "the grid's largest tensor product"
+    for argv, what, dim in (
+            (["tensor", "--left", "V[100](eps)", "--right", "V[100](lam)",
+              "--method", "matrix"], product, 10000),
+            (["tensor", "--left", "V[50](2;3)", "--right", "V[50](1;2)",
+              "--method", "both"], product, 40000),
+            (["tensor", "--left", "V[33](eps)", "--right", "V[16](1)",
+              "--method", "matrix"], product, 1056),
+            (["verify", "fusion", "--m", "3", "--tmax", "300", "--teig", "0"],
+             grid, 360000),
+            (["verify", "fusion", "--m", "3", "--tmax", "17", "--teig", "0"],
+             grid, 1156),
+            (["verify", "fusion", "--m", "3", "--tmax", "1", "--teig", "9"],
+             grid, 1296)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: {what} has dimension {dim}, above the limit 1024\n"
+    # at the limit, and on the closed route alone, the work starts
+    for argv in (["tensor", "--left", "V[32](eps)", "--right", "V[16](1)",
+                  "--method", "both"],
+                 ["tensor", "--left", "V[100](eps)", "--right", "V[100](lam)"],
+                 ["verify", "fusion", "--m", "3", "--tmax", "16", "--teig", "8"]):
+        with pytest.raises(RouteRan):
+            cli.main(argv)
+
+
 def test_ring_mul_green_power_basis_rejected(capsys):
     code, _, err = run(capsys, ["ring", "mul", "--ring", "green",
                                 "--expr", "x", "--basis", "x1"])

@@ -6,13 +6,18 @@ import pytest
 
 from hopfore.cyclotomic import Cyclotomic, Rational, field_degree
 from hopfore.errors import (
-    IncompleteSimpleList, NonIntegerMultiplicity, NotCentral, NotIrreducible,
-    TrivialQ,
+    IncompleteSimpleList, InvalidParameter, NonIntegerMultiplicity, NotCentral,
+    NotIrreducible, TrivialQ,
 )
-from hopfore.groups import custom_algebra, dihedral_algebra
+from hopfore.groups import SimpleRep, custom_algebra, dihedral_algebra
 from hopfore.linalg import Matrix
+from hopfore.modules import ExplicitModule, module_nilpotent, tensor, validate
 
-from conftest import cyclic_algebra
+from conftest import (
+    cyclic_algebra, reference_multiplicities, word_products, word_violations,
+)
+
+FIXTURES = ["alg3", "alg5", "alg7", "alg15", "c4", "c8", "s3c4", "a4c3"]
 
 
 def test_dihedral_m3_parameters(alg3):
@@ -272,7 +277,7 @@ def test_conjugacy_classes(alg3, alg5, alg7, c4, c8, s3c4, a4c3):
                                  for row in rows) == want, (s.label, c, j)
 
 
-@pytest.mark.parametrize("name", ["alg3", "alg5", "alg7", "c4", "c8", "s3c4", "a4c3"])
+@pytest.mark.parametrize("name", FIXTURES)
 def test_multiplicities_of_character_combinations(name, request):
     """Seeded nonnegative integer combinations of the simple characters
     come back as their coefficients, as the in-test reference says."""
@@ -315,3 +320,132 @@ def test_multiplicities(c4, alg5):
         with pytest.raises(NonIntegerMultiplicity) as err:
             alg.multiplicities(values)
         assert str(err.value) == f"isotypic multiplicity of {first.label!r} came out {shown}"
+
+
+def _same_as_reference(alg, values):
+    """multiplicities(values) and the reference agree: equal results, or
+    NonIntegerMultiplicity from both with the same message."""
+    try:
+        want = reference_multiplicities(alg, values)
+    except NonIntegerMultiplicity as e:
+        with pytest.raises(NonIntegerMultiplicity) as err:
+            alg.multiplicities(values)
+        assert str(err.value) == str(e)
+        return None
+    assert alg.multiplicities(values) == want
+    return want
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_packed_multiplicities_match_reference(name, request):
+    """The packed inner product equals the dot-product reference on the
+    simple characters, the fusion products, seeded combinations with
+    coefficients past 2^64 and 2^300 (the slot width grows), the zero class
+    function, and non-characters, which both refuse with one message."""
+    alg = request.getfixturevalue(name)
+    reps = [g for g, _ in alg.group.classes]
+    chars = [[s.char[g] for g in reps] for s in alg.simples]
+    for s, a in zip(alg.simples, chars):
+        assert _same_as_reference(alg, a) == {s.label: 1}
+        for b in chars:
+            assert _same_as_reference(alg, [u * v for u, v in zip(a, b)])
+    zero = [alg.zero()] * len(reps)
+    assert _same_as_reference(alg, zero) == {}
+    rng = random.Random(20261023)
+    for bits in (70, 310):
+        for _ in range(3):
+            coeffs = [rng.choice((0, 1, rng.getrandbits(bits) | 1 << (bits - 1)))
+                      for _ in alg.simples]
+            coeffs[0] = 1 << bits
+            values = [sum((c * a[k] for c, a in zip(coeffs, chars)), alg.zero())
+                      for k in range(len(reps))]
+            assert _same_as_reference(alg, values) == {
+                s.label: c for s, c in zip(alg.simples, coeffs) if c}
+            # one negative coefficient is no character
+            coeffs[rng.choice([j for j, c in enumerate(coeffs) if c])] *= -1
+            values = [sum((c * a[k] for c, a in zip(coeffs, chars)), alg.zero())
+                      for k in range(len(reps))]
+            assert _same_as_reference(alg, values) is None
+    assert max(alg._packs) >= 512
+    w = Cyclotomic.zeta(alg.field_order)
+    for shift in (Rational(1, 2), w, w / 3):
+        for a in chars[:3]:
+            assert _same_as_reference(alg, [v + shift for v in a]) is None
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_element_matrices_are_word_products(name, request):
+    """The one-pass element matrices are the products along the words."""
+    alg = request.getfixturevalue(name)
+    group = alg.group
+    for s in alg.simples:
+        assert list(s.element_mats) == word_products(
+            group, s.gen_mats, alg.field_order, s.dim)
+        assert s.violations == ()
+
+
+def _corrupted(mats, k, order):
+    """mats with entry (0, 0) of generator k's matrix raised by 1."""
+    out = list(mats)
+    rows = [dict(r) for r in out[k].rows]
+    rows[0][0] = rows[0].get(0, Cyclotomic.zero(order)) + 1
+    rows[0] = {j: v for j, v in rows[0].items() if v}
+    out[k] = Matrix.from_rows(order, rows, out[k].ncols)
+    return out
+
+
+@pytest.mark.parametrize("name", ["alg3", "c8", "s3c4", "a4c3"])
+def test_corrupted_generator_violations_match_words(name, request):
+    """A simple or module with one corrupted generator matrix gets the
+    violation list and validate() findings that the word-by-word expansion
+    gives."""
+    alg = request.getfixturevalue(name)
+    group, order = alg.group, alg.field_order
+    for k in range(len(group.generators)):
+        for s in alg.simples[-2:]:
+            mats = _corrupted(s.gen_mats, k, order)
+            bad = SimpleRep("bad", mats, group, order)
+            want = word_violations(group, mats, word_products(group, mats, order, s.dim))
+            assert want and list(bad.violations) == want
+            assert list(bad.element_mats) == word_products(group, mats, order, s.dim)
+        good = tensor(module_nilpotent(alg, 2, alg.labels[-1]),
+                      module_nilpotent(alg, 1, alg.labels[0]))
+        mats = _corrupted(good.gen_actions, k, order)
+        mod = ExplicitModule(alg, mats, good.x_action, good.provenance)
+        found = validate(mod)
+        words = word_products(group, mats, order, mod.dim)
+        want = [f"group-relation: element {group.names[g]} * generator {j} "
+                "violates the multiplication table"
+                for g, j in word_violations(group, mats, words)]
+        assert want and found[:len(want)] == want
+        assert all(not line.startswith("group-relation") for line in found[len(want):])
+
+
+def test_chi_checked_at_every_element(alg3, c4):
+    """chi changed at one element that is not a generator is still caught,
+    though only (element, generator) pairs are checked."""
+    for alg in (alg3, c4):
+        group = alg.group
+        others = [g for g in range(group.size)
+                  if g != group.identity and g not in group.generators]
+        for g in others:
+            chi = list(alg.chi)
+            chi[g] = -chi[g]
+            with pytest.raises(InvalidParameter, match="chi is not a homomorphism"):
+                custom_algebra(group, alg.simples, alg.central, chi, alg.field_order)
+
+
+@pytest.mark.parametrize("m, count", [(3, 144), (5, 320), (7, 560)])
+def test_build_matrix_products(m, count, monkeypatch):
+    """A dihedral build multiplies #simples * |G| * #generators matrices:
+    one per (element, generator) pair of each simple."""
+    calls = []
+    product = Matrix.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    alg = dihedral_algebra.__wrapped__(m)
+    assert len(calls) == count == len(alg.simples) * alg.group.size * 2

@@ -15,7 +15,7 @@ from hopfore.modules import (
 )
 from hopfore.syntax import parse_cyclotomic
 
-from conftest import direct_sum, mat_power
+from conftest import direct_sum, mat_power, word_products
 
 
 def test_nilpotent_t1_is_simple_with_zero_x(alg3):
@@ -159,11 +159,9 @@ def test_tensor_of_constructors_validates(alg3, t1, i1, t2, i2, b):
 
 
 def _assert_kronecker_action_matches_words(mod):
-    from hopfore.groups import expand_words
-
     alg = mod.alg
     assert mod.factors is not None
-    words = expand_words(alg.group, mod.gen_actions, alg.field_order, mod.dim)
+    words = word_products(alg.group, mod.gen_actions, alg.field_order, mod.dim)
     for g in range(alg.group.size):
         assert mod.element_action(g) == words[g], g
 
@@ -191,11 +189,9 @@ def test_validate_checks_tensor_generators(alg3):
 
 
 def test_generator_actions_are_not_rebuilt(alg5):
-    from hopfore.groups import expand_words
-
     prod = tensor(module_eigen(alg5, 1, 1, 2), module_nilpotent(alg5, 2, "chi"))
     group = alg5.group
-    words = expand_words(group, prod.gen_actions, alg5.field_order, prod.dim)
+    words = word_products(group, prod.gen_actions, alg5.field_order, prod.dim)
     assert prod.element_action(group.identity) == Matrix.identity(
         alg5.field_order, prod.dim)
     for k, gen in enumerate(group.generators):
