@@ -29,8 +29,9 @@ Scalar literals are written over a primitive root of unity "w" of order
 field_order, e.g. "1/2", "-w^2 + 1".  Labels and expressions follow the
 little language in the syntax module ("V[2](eps;1)", "x^3 - 3*x", ...).
 
-Exit codes: 0 success; 1 mathematical disagreement or failed verification;
-2 usage errors (bad flags, unparsable input, unknown labels).
+Exit codes: 0 success; 1 mathematical disagreement or failed verification
+(errors.MathError); 2 usage errors (bad flags, unparsable input, unknown
+labels: errors.UsageError).
 
 The matrix route builds the tensor product of two modules, so `tensor
 --method matrix|both` and `verify fusion` refuse, with exit 2 and before
@@ -42,37 +43,23 @@ import json
 import sys
 
 from .decompose import decompose
-from .errors import (
-    AlgebraMismatch, CandidatePoolIncomplete, ExprSyntaxError,
-    IncompleteSimpleList, InternalInconsistency, InvalidParameter,
-    NonIntegerMultiplicity, NotCentral, NotFusionReady, NotIrreducible,
-    OrderMismatch, RingMismatch, ShapeMismatch, TrivialQ,
-    UnknownLabel, UnsupportedLabel, ZeroBeta,
-)
+from .errors import InvalidParameter, MathError, UsageError
 from .fusion import tensor_labels
 from .greenring import (
-    GREEN, GROTH, eval_expr, format_basis_coords, format_element,
-    groth_to_x2_basis, groth_to_x_basis, verify_presentation, _term_text,
+    GREEN, GROTH, eval_expr, groth_to_x2_basis, groth_to_x_basis,
+    verify_presentation, _term_text,
 )
 from .grid import build_module, grid_labels, run_grid
 from .groups import algebra_from_descriptor, dihedral_algebra
 from .labels import label_dim, sorted_items
 from .modules import tensor
-from .syntax import format_label, format_multiset, parse_cyclotomic, parse_label
+from .syntax import (
+    format_label, format_multiset, format_terms, parse_cyclotomic, parse_label,
+)
 
 # the dimension of A (x) B is dim A * dim B, while a label's own is bounded
 # by syntax.MAX_LABEL_DIM
 MAX_TENSOR_DIM = 1024
-
-_USAGE_ERRORS = (
-    ExprSyntaxError, UnknownLabel, UnsupportedLabel, InvalidParameter, ZeroBeta,
-    RingMismatch, AlgebraMismatch, NotFusionReady, OrderMismatch, TrivialQ,
-    NotCentral, IncompleteSimpleList, NotIrreducible,
-)
-_MATH_ERRORS = (
-    InternalInconsistency, NonIntegerMultiplicity, CandidatePoolIncomplete,
-    ShapeMismatch,
-)
 
 
 def _add_algebra_flags(p):
@@ -196,18 +183,17 @@ def cmd_ring_mul(args):
     alg = _load_algebra(args)
     elt = eval_expr(alg, args.expr, args.ring)
     if args.basis == "canonical":
-        text = format_element(elt)
-        terms = [[_term_text(alg, lab), c] for lab, c in sorted_items(alg, elt.coeffs)]
+        pairs = [(_term_text(alg, lab), c) for lab, c in sorted_items(alg, elt.coeffs)]
     elif args.ring != GROTH:
         raise InvalidParameter("power bases apply to the Grothendieck ring; "
                                "use --ring groth")
     else:
         pairs = (groth_to_x_basis if args.basis == "x1" else groth_to_x2_basis)(elt)
-        text = format_basis_coords(pairs)
-        terms = [[name, c] for name, c in pairs if c]
-        if args.basis == "x1":
-            terms = sorted(([*_x1_degree_char(name), c] for name, c in terms),
-                           key=lambda t: (-t[0], t[1]))
+    text = format_terms(pairs)
+    terms = [[name, c] for name, c in pairs if c]
+    if args.basis == "x1":
+        terms = sorted(([*_x1_degree_char(name), c] for name, c in terms),
+                       key=lambda t: (-t[0], t[1]))
     if args.json:
         print(json.dumps({"ring": args.ring, "basis": args.basis,
                           "expr": args.expr, "result": text, "terms": terms}))
@@ -265,7 +251,7 @@ def cmd_module_export(args):
     alg = _load_algebra(args)
     label = parse_label(args.label, alg)
     mod = build_module(alg, label)
-    text = mod.to_json(indent=2)
+    text = mod.to_json()
     if args.out == "-":
         print(text)
     else:
@@ -360,10 +346,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as e:
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except _MATH_ERRORS as e:
+    except MathError as e:
         print(f"inconsistency: {e}", file=sys.stderr)
         return 1
 

@@ -36,7 +36,7 @@ from .labels import (
 )
 from .linalg import sp_rref
 from .syntax import (
-    MAX_EXPONENT, MAX_SCALAR_BITS, evaluate, format_label, format_signed_sum,
+    MAX_EXPONENT, MAX_SCALAR_BITS, evaluate, format_label, format_terms,
 )
 
 GREEN = "green"
@@ -230,18 +230,8 @@ def _term_text(alg, label) -> str:
 
 def format_element(elt: RingElement) -> str:
     """Deterministic text form, e.g. '1 + lam + V[1](2)' or '2*V[2](eps;1)'."""
-    terms = []
-    for label, c in sorted_items(elt.alg, elt.coeffs):
-        body = _term_text(elt.alg, label)
-        mag = abs(c)
-        if body == "1":
-            text = str(mag)
-        elif mag == 1:
-            text = body
-        else:
-            text = f"{mag}*{body}"
-        terms.append((c < 0, text))
-    return format_signed_sum(terms)
+    return format_terms((_term_text(elt.alg, label), c)
+                        for label, c in sorted_items(elt.alg, elt.coeffs))
 
 
 # -- expression evaluation ------------------------------------------------------
@@ -393,19 +383,6 @@ def g_poly(alg):
     return out + [("chi", 1), ("lamchi", 1)]
 
 
-def format_basis_coords(pairs) -> str:
-    """Signed sum text for (name, coefficient) pairs; zeros dropped."""
-    terms = []
-    for name, c in pairs:
-        if not c:
-            continue
-        mag = abs(c)
-        body = name if mag == 1 and name != "1" else (
-            str(mag) if name == "1" else f"{mag}*{name}")
-        terms.append((c < 0, body))
-    return format_signed_sum(terms)
-
-
 # -- presentation verification ---------------------------------------------------
 
 def _unimodular(rows) -> bool:
@@ -449,11 +426,11 @@ class _Report:
             "rhs": format_element(rhs),
         })
 
-    def flag(self, name, ok, detail=""):
+    def flag(self, name, ok):
         self.entries.append({
             "identity": name,
             "status": "pass" if ok else "fail",
-            "lhs": detail,
+            "lhs": "",
             "rhs": "",
         })
 

@@ -46,11 +46,10 @@ def grid_labels(alg, nil_tmax=3, eig_tmax=2, betas=()):
     return list(dict.fromkeys(labels))
 
 
-def check_pair(alg, left, right, cache=None):
-    """None if the closed rules match the matrix oracle, else a report dict."""
+def check_pair(alg, left, right, cache):
+    """None if the closed rules match the matrix oracle, else a report dict.
+    cache maps labels to their modules and gains the ones it lacks."""
     closed = tensor_labels(alg, left, right)
-    if cache is None:
-        cache = {}
     for lab in (left, right):
         if lab not in cache:
             cache[lab] = build_module(alg, lab)
@@ -66,12 +65,10 @@ def check_pair(alg, left, right, cache=None):
     }
 
 
-def run_grid(alg, labels=None, nil_tmax=3, eig_tmax=2, betas=()):
+def run_grid(alg, labels):
     """Check every ordered pair of grid labels, in order; the summary is
     deterministic, so it can be compared against golden files.  An empty
     label grid is rejected: it would check nothing and report ok."""
-    if labels is None:
-        labels = grid_labels(alg, nil_tmax, eig_tmax, betas)
     if not labels:
         raise InvalidParameter("the label grid is empty, so nothing would be checked")
     cache = {lab: build_module(alg, lab) for lab in labels}

@@ -99,17 +99,14 @@ class ExplicitModule:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "algebra": self.alg.descriptor,
             "dim": self.dim,
             "gen_actions": [m.to_literals() for m in self.gen_actions],
             "x_action": self.x_action.to_literals(),
             "provenance": sorted(v.to_literal() for v in self.provenance),
-        }
-
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+        }, indent=2)
 
 
 def _require_same_algebra(m: ExplicitModule, n: ExplicitModule):

@@ -33,7 +33,7 @@ from operator import add, mul, sub
 
 from .cyclotomic import Cyclotomic, Rational
 from .errors import ExprSyntaxError, InvalidParameter, UnknownLabel
-from .labels import EIG, NIL, IndecLabel, canonicalize, label_sort_key
+from .labels import EIG, NIL, IndecLabel, canonicalize, label_dim, sorted_items
 
 _PUNCT = set("+-*^/()[];")
 
@@ -245,14 +245,13 @@ def _parse_label_tail(ts, alg, vtok):
                 btok.pos)
     else:
         ts.expect(")")
-    dim = t * alg.simple_by_label[simple].dim * (alg.s if beta else 1)
+    kind = EIG if beta else NIL
+    dim = label_dim(alg, IndecLabel(kind, t, simple, beta))
     if dim > MAX_LABEL_DIM:
         raise InvalidParameter(
             f"a V[{t}] label on {simple!r} has dimension {dim}, "
             f"above the limit {MAX_LABEL_DIM}")
-    if beta:
-        return canonicalize(alg, EIG, t, simple, beta)
-    return canonicalize(alg, NIL, t, simple)
+    return canonicalize(alg, kind, t, simple, beta)
 
 
 def _alias_eigen(ts, alg):
@@ -326,25 +325,23 @@ def format_label(label) -> str:
     return f"V[{label.t}]({label.i};{label.beta.to_literal()})"
 
 
-def format_signed_sum(terms) -> str:
-    """'a - b + c' from (negative, text) pairs in order: the first term
-    as 'a' or '-a', the rest as '+ t' or '- t'; '0' when there are none."""
+def format_terms(terms) -> str:
+    """'a - 2*b + 3' from (text, integer) pairs in order, zeros dropped:
+    k*'1' prints as k, +-1*a as a; the first term as 'a' or '-a', the rest
+    as '+ a' or '- a'; '0' when no term is left."""
     parts = []
-    for negative, text in terms:
+    for text, k in terms:
+        if not k:
+            continue
+        mag = abs(k)
+        body = str(mag) if text == "1" else text if mag == 1 else f"{mag}*{text}"
         if parts:
-            parts.append(f"- {text}" if negative else f"+ {text}")
+            parts.append(f"- {body}" if k < 0 else f"+ {body}")
         else:
-            parts.append(f"-{text}" if negative else text)
+            parts.append(f"-{body}" if k < 0 else body)
     return " ".join(parts) if parts else "0"
 
 
 def format_multiset(alg, counts) -> str:
     """Deterministic rendering of a label multiset, e.g. '2*V[1](2) + V[2](eps)'."""
-    parts = []
-    for label in sorted(counts, key=lambda l: label_sort_key(alg, l)):
-        k = counts[label]
-        if k == 0:
-            continue
-        body = format_label(label)
-        parts.append(body if k == 1 else f"{k}*{body}")
-    return " + ".join(parts) if parts else "0"
+    return format_terms((format_label(lab), k) for lab, k in sorted_items(alg, counts))

@@ -52,6 +52,18 @@ def word_violations(group, gen_mats, mats):
             if mats[g] @ gen_mats[k] != mats[group.mul[g][gen]]]
 
 
+def character_order(group, chi):
+    """The least k >= 1 with chi^k = 1 at every group element, found by
+    powering all of chi's values together."""
+    one = Cyclotomic.one(chi[0].order)
+    powers = list(chi)
+    for k in range(1, 2 * group.size + 1):
+        if all(v == one for v in powers):
+            return k
+        powers = [p * c for p, c in zip(powers, chi)]
+    raise AssertionError("chi does not have finite order")
+
+
 def reference_multiplicities(alg, traces):
     """AlgebraData.multiplicities by one integer dot product per simple,
     coordinate and nonzero numerator, with the same guard and message."""

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfore import cli, greenring
+from hopfore import cli, errors, greenring, groups
 
 
 def run(capsys, argv):
@@ -429,6 +429,64 @@ def test_bad_algebra_file(tmp_path, capsys):
         assert (case, code) == (case, 2)
         assert err.startswith("error: "), case
         assert "Traceback" not in err, case
+
+
+def test_large_m_refused_before_any_table(tmp_path, capsys, monkeypatch):
+    # every entry point reaches dihedral_algebra, which refuses an m above
+    # the limit before it builds a table; building is patched to fail, so a
+    # lost limit fails fast instead of building a large algebra
+    class Built(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(groups, "GroupData", refuse)
+    limit = groups.MAX_DIHEDRAL_M
+    for m in (limit + 2, 1001):
+        path = tmp_path / f"dihedral-{m}.json"
+        path.write_text(json.dumps({"kind": "dihedral", "m": m}))
+        for argv in (["algebra", "dihedral", "--m", str(m)],
+                     ["tensor", "--m", str(m), "--left", "x", "--right", "x"],
+                     ["tensor", "--algebra", str(path), "--left", "x", "--right", "x"]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, argv)
+            assert time.perf_counter() - start < 1
+            assert (argv, code, out) == (argv, 2, "")
+            assert err == f"error: m = {m} is above the limit {limit}\n"
+    # at the limit the build starts
+    with pytest.raises(Built):
+        cli.main(["algebra", "dihedral", "--m", str(limit)])
+
+
+def _concrete_errors():
+    return [cls for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.HopfOreError)
+            and cls not in (errors.HopfOreError, errors.UsageError, errors.MathError)]
+
+
+def test_every_error_has_one_exit_code_base():
+    classes = _concrete_errors()
+    assert len(classes) == 17
+    for cls in classes:
+        bases = [b for b in (errors.UsageError, errors.MathError) if issubclass(cls, b)]
+        assert len(bases) == 1, cls
+
+
+@pytest.mark.parametrize("cls", _concrete_errors(), ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_base(capsys, monkeypatch, cls):
+    exc = cls("boom", 3) if cls is errors.ExprSyntaxError else cls("boom")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_tensor", fail)
+    code, out, err = run(capsys, ["tensor", "--left", "x", "--right", "x"])
+    assert out == ""
+    if issubclass(cls, errors.UsageError):
+        assert (code, err) == (2, f"error: {exc}\n")
+    else:
+        assert (code, err) == (1, f"inconsistency: {exc}\n")
 
 
 def test_usage_errors_exit_2(capsys):

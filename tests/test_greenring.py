@@ -11,11 +11,12 @@ from hopfore.errors import (
 from hopfore import greenring
 from hopfore.greenring import (
     GREEN, GROTH, MAX_EXPONENT, RingElement, eval_expr,
-    f_poly, format_basis_coords, format_element, g_poly, green_basis,
+    f_poly, format_element, g_poly, green_basis,
     groth_basis, groth_to_x2_basis, groth_to_x_basis, ring_mul, to_groth,
     unit, verify_presentation, _evaluate, _unimodular, _x1_basis, _x2_basis,
 )
 from hopfore.groups import algebra_from_descriptor
+from hopfore.syntax import format_terms
 from hopfore.labels import (
     EIG, NIL, TORSION, IndecLabel, SimpleLabel, canonicalize,
 )
@@ -167,7 +168,7 @@ def test_unit_is_the_trivial_simple(c4_reordered):
 
 def test_x_basis_frozen(alg5):
     def x1(i):
-        return format_basis_coords(groth_to_x_basis(groth_basis(alg5, SimpleLabel(TORSION, i))))
+        return format_terms(groth_to_x_basis(groth_basis(alg5, SimpleLabel(TORSION, i))))
 
     assert x1(3) == "x^3 - 3*x"
     assert x1(4) == "x^4 - 4*x^2 + 1 + lam"
@@ -188,8 +189,8 @@ def test_x_basis_of_binomial_powers(m):
 
 
 def test_f_g_frozen(alg3):
-    assert format_basis_coords(f_poly(alg3)) == "x^2 - 1 - lam"
-    assert format_basis_coords(g_poly(alg3)) == "3*x + chi + lamchi"
+    assert format_terms(f_poly(alg3)) == "x^2 - 1 - lam"
+    assert format_terms(g_poly(alg3)) == "3*x + chi + lamchi"
 
 
 def test_f_g_are_images(alg3, alg5):
@@ -244,9 +245,15 @@ def test_x_basis_rejects_free_part(alg3):
 def test_x2_coordinates_frozen(alg3):
     coords = groth_to_x2_basis(ev(alg3, "x^2", GROTH))
     assert [(n, c) for n, c in coords if c] == [("1", 1), ("lam", 1), ("chi*x", 1)]
-    assert format_basis_coords(coords) == "1 + lam + chi*x"
-    assert format_basis_coords([("x", 0)]) == "0"
-    assert format_basis_coords([("1", -2), ("x", 3)]) == "-2 + 3*x"
+    assert format_terms(coords) == "1 + lam + chi*x"
+    assert format_terms([("x", 0)]) == "0"
+    assert format_terms([("1", -2), ("x", 3)]) == "-2 + 3*x"
+    assert format_terms([("x", 1), ("1", 1), ("1", -3), ("1", 4)]) == "x + 1 - 3 + 4"
+    assert format_terms([("lam", -1), ("x", 1), ("chi", -1)]) == "-lam + x - chi"
+    assert format_terms([("x^2", -5), ("lam", 2)]) == "-5*x^2 + 2*lam"
+    assert format_terms([("1", -1), ("x", 0), ("chi", 0)]) == "-1"
+    assert format_terms([("x", 0), ("chi", -2), ("lam", 0)]) == "-2*chi"
+    assert format_terms([]) == "0"
 
 
 def test_x2_round_trip(alg5):

@@ -14,7 +14,8 @@ from hopfore.linalg import Matrix
 from hopfore.modules import ExplicitModule, module_nilpotent, tensor, validate
 
 from conftest import (
-    cyclic_algebra, reference_multiplicities, word_products, word_violations,
+    character_order, cyclic_algebra, reference_multiplicities, word_products,
+    word_violations,
 )
 
 FIXTURES = ["alg3", "alg5", "alg7", "alg15", "c4", "c8", "s3c4", "a4c3"]
@@ -382,6 +383,16 @@ def test_element_matrices_are_word_products(name, request):
         assert list(s.element_mats) == word_products(
             group, s.gen_mats, alg.field_order, s.dim)
         assert s.violations == ()
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_character_order_matches_pointwise_powers(name, request):
+    """s, read off chi at the generators, is the order of chi at every
+    element, and fusion readiness compares q's order with it."""
+    alg = request.getfixturevalue(name)
+    s = character_order(alg.group, alg.chi)
+    assert alg.s == s
+    assert alg.fusion_ready == (alg.q.multiplicative_order() == s)
 
 
 def _corrupted(mats, k, order):

@@ -1,6 +1,7 @@
 """The two routes stay separate: the matrix oracle and the closed rules
 import nothing of each other, read off the package's import statements.
-And the public surface is what the package and the bench call."""
+And the public surface is what the package and the bench call, with no
+defaulted parameter that no caller sets."""
 
 import ast
 from pathlib import Path
@@ -125,3 +126,78 @@ def test_every_export_has_a_caller():
         f"exports with no caller and no listed reason: "
         f"{sorted(uncalled - set(UNCALLED_EXPORTS))}; listed exports that "
         f"gained a caller: {sorted(set(UNCALLED_EXPORTS) - uncalled)}")
+
+
+# Defaulted parameters of package functions that no call in the package,
+# the bench or the tests passes, each with the reason it stays.
+UNPASSED_DEFAULTS = {}
+
+
+def _defaulted_params(path: Path) -> list:
+    """(callee, parameter, position) for each defaulted parameter of a
+    function or method in the file.  The callee is the function's name, or
+    the class name for __init__; the position is the one a call passes the
+    parameter at, past a method's self or cls, or None if keyword-only."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                bound = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list)
+                callee = cls if child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                out.extend((callee, a.arg, k - bound)
+                           for k, a in enumerate(positional[first:], first))
+                out.extend((callee, a.arg, None)
+                           for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                           if d is not None)
+                visit(child, None)
+
+    visit(ast.parse(path.read_text()), None)
+    return out
+
+
+def _passed(path: Path) -> set:
+    """(callee, keyword or position) for every argument a call in the file
+    passes, the callee matched by name; (callee, "*") for a call that
+    unpacks *args or **kwargs, which may pass anything."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            callee = func.id
+        elif isinstance(func, ast.Attribute):
+            callee = func.attr
+        else:
+            continue
+        out.update((callee, k) for k in range(len(node.args)))
+        out.update((callee, kw.arg) for kw in node.keywords if kw.arg)
+        if (any(isinstance(a, ast.Starred) for a in node.args)
+                or any(kw.arg is None for kw in node.keywords)):
+            out.add((callee, "*"))
+    return out
+
+
+def test_every_default_is_passed():
+    root = PACKAGE.parents[1]
+    files = sorted(PACKAGE.glob("*.py"))
+    callers = files + sorted((root / "bench").glob("*.py")) + sorted(
+        (root / "tests").glob("*.py"))
+    passed = set().union(*(_passed(p) for p in callers))
+    defaults = [d for p in files for d in _defaulted_params(p)]
+    assert ("grid_labels", "betas", 3) in defaults, defaults
+    unpassed = {f"{callee}.{param}" for callee, param, pos in defaults
+                if not {(callee, param), (callee, pos), (callee, "*")} & passed}
+    assert unpassed == set(UNPASSED_DEFAULTS), (
+        f"defaulted parameters that no call passes and no listed reason "
+        f"keeps: {sorted(unpassed - set(UNPASSED_DEFAULTS))}; listed "
+        f"parameters that a call now passes: "
+        f"{sorted(set(UNPASSED_DEFAULTS) - unpassed)}")
