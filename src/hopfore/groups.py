@@ -626,12 +626,12 @@ def _algebra_from_descriptor(desc: dict) -> AlgebraData:
     if not isinstance(desc, dict):
         raise InvalidParameter("algebra descriptor must be a JSON object")
     if desc.get("kind") == "dihedral":
-        return dihedral_algebra(int(desc["m"]))
+        return dihedral_algebra(desc["m"])
     if desc.get("kind") != "custom":
         raise InvalidParameter(f"unknown algebra kind {desc.get('kind')!r}")
     from .syntax import parse_cyclotomic
 
-    field_order = int(desc["field_order"])
+    field_order = _descriptor_int(desc, "field_order")
     group = GroupData(desc["mul_table"], tuple(desc["generators"]),
                       names=desc.get("names"))
     chi = [parse_cyclotomic(field_order, v) for v in desc["chi"]]
@@ -640,4 +640,11 @@ def _algebra_from_descriptor(desc: dict) -> AlgebraData:
          [Matrix.from_literals(field_order, m) for m in s["matrices"]])
         for s in desc["simples"]
     ]
-    return custom_algebra(group, simples, int(desc["central"]), chi, field_order)
+    return custom_algebra(group, simples, _descriptor_int(desc, "central"), chi, field_order)
+
+
+def _descriptor_int(desc: dict, key: str) -> int:
+    value = desc[key]
+    if type(value) is not int:
+        raise InvalidParameter(f"descriptor {key} must be an integer, got {value!r}")
+    return value

@@ -5,10 +5,10 @@ the algebra's cyclotomic field.  The defining relation makes x skew-commute
 with the group: x g = chi^{-1}(g) g x, and on tensor products x acts by
 x (.) a + 1 (.) x while group elements act diagonally.
 
-Construction of the two standard families works stratum by stratum: the
-quotient of the induced module on V_i has basis x^j v over a basis v of
-V_i, a group element g acts on stratum j by chi(g)^j rho_i(g), and x shifts
-strata upward, wrapping on the top stratum for the eigenvalue family.
+Both standard families are built on the basis x^r (x^s - beta)^l v of the
+induced module on V_i modulo x^t (beta = 0) or (x^s - beta)^t: g acts on
+stratum j = ls + r by chi(g)^j rho_i(g), and x shifts strata upward, adding
+beta times stratum ls where it maps stratum ls + s - 1 to (l + 1)s.
 
 Group elements act through their generator words: the action of g is the
 product of the generator matrices along g's stored word.  A tensor product
@@ -29,7 +29,6 @@ propagates it, so later decomposition knows where to look.
 from __future__ import annotations
 
 import json
-from math import comb
 
 from .errors import (
     AlgebraMismatch,
@@ -109,40 +108,32 @@ class ExplicitModule:
         }, indent=2)
 
 
-def _require_same_algebra(m: ExplicitModule, n: ExplicitModule):
-    if m.alg is not n.alg and m.alg != n.alg:
-        raise AlgebraMismatch("modules live over different algebras")
-
-
 def module_nilpotent(alg: AlgebraData, t: int, i) -> ExplicitModule:
     """The x-torsion indecomposable of exponent t on the simple i."""
-    if not isinstance(t, int) or t < 1:
-        raise InvalidParameter(f"t must be a positive integer, got {t!r}")
-    alg.require_label(i)
-    return _stratified(alg, i, t, {}, alg.zero())
+    return _stratified(alg, i, t, alg.zero())
 
 
 def module_eigen(alg: AlgebraData, t: int, i, beta) -> ExplicitModule:
     """The (x^s - beta)-torsion indecomposable of exponent t on the simple i."""
-    if not isinstance(t, int) or t < 1:
-        raise InvalidParameter(f"t must be a positive integer, got {t!r}")
-    alg.require_label(i)
     b = alg.scalar(beta)
     if not b:
         raise ZeroBeta("beta must be nonzero; beta = 0 is the plain x-torsion family")
-    s = alg.s
-    # top stratum: x^(ts) = - sum_{l<t} C(t,l) (-b)^(t-l) x^(ls)
-    top = {l * s: -(comb(t, l) * ((-b) ** (t - l))) for l in range(t)}
-    return _stratified(alg, i, t * s, top, b)
+    return _stratified(alg, i, t, b)
 
 
-def _stratified(alg: AlgebraData, i, strata: int, top: dict, provenance) -> ExplicitModule:
-    """Module with basis x^j v, j < strata, over a basis v of the simple i.
+def _stratified(alg: AlgebraData, i, t: int, beta) -> ExplicitModule:
+    """Module with basis x^r (x^s - beta)^l v, r < s, over a basis v of the
+    simple i: t strata when beta = 0, else t * s.
 
-    g acts on stratum j by chi(g)^j rho_i(g); x maps stratum j to j + 1 and
-    the top stratum to the sum of top[l] times stratum l.
+    g acts on stratum j by chi(g)^j rho_i(g); x maps stratum j to j + 1,
+    plus beta times stratum j + 1 - s when s divides j + 1.
     """
+    if not isinstance(t, int) or t < 1:
+        raise InvalidParameter(f"t must be a positive integer, got {t!r}")
+    alg.require_label(i)
     rep = alg.simple_by_label[i]
+    s = alg.s
+    strata = t * s if beta else t
     d = rep.dim
     dim = strata * d
     n = alg.field_order
@@ -159,22 +150,19 @@ def _stratified(alg: AlgebraData, i, strata: int, top: dict, provenance) -> Expl
         gen_actions.append(Matrix.from_rows(n, rows, dim))
 
     one = alg.one()
-    last = dim - d
-    xrows = []
-    for j in range(strata):
-        coeff = top.get(j)
-        for r in range(d):
-            row = {(j - 1) * d + r: one} if j else {}
-            if coeff:
-                row[last + r] = coeff
-            xrows.append(row)
+    xrows = [{k - d: one} if k >= d else {} for k in range(dim)]
+    if beta:
+        for k in range(dim):
+            if k // d % s == 0:
+                xrows[k][k + (s - 1) * d] = beta
     x_action = Matrix.from_rows(n, xrows, dim)
-    return ExplicitModule(alg, gen_actions, x_action, provenance=(provenance,))
+    return ExplicitModule(alg, gen_actions, x_action, provenance=(beta,))
 
 
 def tensor(m: ExplicitModule, n: ExplicitModule) -> ExplicitModule:
     """Tensor product; x acts as x (.) a + 1 (.) x."""
-    _require_same_algebra(m, n)
+    if m.alg is not n.alg and m.alg != n.alg:
+        raise AlgebraMismatch("modules live over different algebras")
     alg = m.alg
     gen_actions = [
         gm.tensor_product(gn) for gm, gn in zip(m.gen_actions, n.gen_actions)

@@ -107,6 +107,35 @@ def direct_sum(m, n):
                           m.provenance | n.provenance)
 
 
+def companion_module(alg, t, i, beta):
+    """V_t(i, beta) on the companion basis x^j v, j < ts, over a basis v of
+    the simple i: g acts on stratum j by chi(g)^j rho_i(g), x maps stratum
+    j to j + 1, and the top stratum to x^(ts) v, which (x^s - beta)^t = 0
+    writes as -sum_{l<t} C(t, l) (-beta)^(t-l) x^(ls) v."""
+    b = alg.scalar(beta)
+    assert b
+    rep = alg.simple_by_label[i]
+    d, strata, order = rep.dim, t * alg.s, alg.field_order
+    dim = strata * d
+    gen_actions = []
+    for k, gen in enumerate(alg.group.generators):
+        rows = []
+        for j in range(strata):
+            c = alg.chi[gen] ** j
+            rows += [{j * d + col: c * v for col, v in row.items()}
+                     for row in rep.gen_mats[k].rows]
+        gen_actions.append(Matrix.from_rows(order, rows, dim))
+    top = {l * alg.s: -comb(t, l) * (-b) ** (t - l) for l in range(t)}
+    xrows = []
+    for j in range(strata):
+        for r in range(d):
+            row = {(j - 1) * d + r: alg.one()} if j else {}
+            if j in top:
+                row[dim - d + r] = top[j]
+            xrows.append(row)
+    return ExplicitModule(alg, gen_actions, Matrix.from_rows(order, xrows, dim), (b,))
+
+
 def binomial_power_decomposition(alg, l):
     """The paper's closed multiset form of x^l in the Grothendieck ring of a
     dihedral algebra, 1 <= l <= m - 1."""
@@ -248,6 +277,17 @@ def c4_reordered(c4):
 @pytest.fixture(scope="session")
 def c8():
     return cyclic_algebra(8, 2)
+
+
+@pytest.fixture(scope="session")
+def c8_unready():
+    """C_8 with the faithful chi = zeta_8 but central element g^2, so that
+    |q| = 4 < 8 = |chi|: not fusion ready."""
+    mul = [[(i + j) % 8 for j in range(8)] for i in range(8)]
+    group = GroupData(mul, generators=(1,))
+    simples = [(f"c{l}", [Matrix(8, [[Cyclotomic.zeta(8, l)]])]) for l in range(8)]
+    chi = [Cyclotomic.zeta(8, k) for k in range(8)]
+    return custom_algebra(group, simples, central=2, chi=chi, field_order=8)
 
 
 @pytest.fixture(scope="session")

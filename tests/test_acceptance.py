@@ -3,10 +3,12 @@ independent matrix oracle, every ring identity against exact arithmetic.
 
 Each test here is one acceptance gate; together they cover the full label
 grid (both dihedral parameters), two seeded samples of the m = 7 grid,
-seeded samples of the m = 9 and m = 15 grids, a seeded sample of the
-m = 3 grid with long strings, the full C_8 grid with
+seeded samples of the m = 9 and m = 15 grids, seeded samples of the
+m = 3 grid with long strings (Nil t up to 6 with Eig t up to 3, and with
+Eig t up to 8), the full C_8 grid with
 the nontrivial eigenvalue twist, seeded samples of the S_3 x C_4 and
-A_4 x C_3 grids, a hypothesis-drawn pair on a drawn fixture algebra, the
+A_4 x C_3 grids, seeded samples of the C_8, S_3 x C_4 and A_4 x C_3 grids
+with Eig t up to 3, a hypothesis-drawn pair on a drawn fixture algebra, the
 power-basis combinatorics, the ring presentations, the structural
 invariants of the indecomposables, ring homomorphism compatibility, the one genuinely ambiguous index range in the
 string-overlap formula, and commutativity.
@@ -124,6 +126,29 @@ def test_differential_fusion_grid_m3_long_strings(alg3):
     labels = grid_labels(alg3, 2 * alg3.s + 2, 3, BETAS)
     assert max(lab.t for lab in labels) == 6
     mismatches = _sample_mismatches(alg3, labels, 300, 20261020)
+    assert mismatches == [], mismatches[:3]
+
+
+def test_differential_fusion_grid_m3_long_eigen_strings(alg3):
+    """Closed rules equal the matrix oracle on 300 seeded ordered pairs of
+    the m = 3 grid with long strings of both kinds: Nil t up to 6, Eig t up
+    to 8, products of dimension up to 768."""
+    labels = grid_labels(alg3, 6, 8, BETAS)
+    assert len(labels) == 132
+    mismatches = _sample_mismatches(alg3, labels, 300, 20261026)
+    assert mismatches == [], mismatches[:3]
+
+
+@pytest.mark.parametrize("fixture, seed", [
+    ("c8", 20261027), ("s3c4", 20261028), ("a4c3", 20261029)])
+def test_differential_fusion_grid_s_above_2_eigen_sample(fixture, seed, request):
+    """Closed rules equal the matrix oracle on 300 seeded ordered pairs of
+    each s > 2 fixture grid with Eig t up to 3 (Nil t up to 3, betas 1, -1,
+    2)."""
+    alg = request.getfixturevalue(fixture)
+    labels = grid_labels(alg, 3, 3, (1, -1, 2))
+    assert max(lab.t for lab in labels if lab.kind != NIL) == 3
+    mismatches = _sample_mismatches(alg, labels, 300, seed)
     assert mismatches == [], mismatches[:3]
 
 

@@ -431,6 +431,27 @@ def test_bad_algebra_file(tmp_path, capsys):
         assert "Traceback" not in err, case
 
 
+def test_non_integer_descriptor_fields_exit_2(tmp_path, capsys):
+    # a float, a numeric string or a bool is refused, not truncated or read
+    # as an index
+    cases = {
+        "float-m": ({"kind": "dihedral", "m": 3.9}, "m must be an odd integer >= 3, got 3.9"),
+        "string-m": ({"kind": "dihedral", "m": "3"}, "m must be an odd integer >= 3, got '3'"),
+        "float-central": (_c4_descriptor(central=1.5),
+                          "descriptor central must be an integer, got 1.5"),
+        "bool-central": (_c4_descriptor(central=True),
+                         "descriptor central must be an integer, got True"),
+        "float-field-order": (_c4_descriptor(field_order=4.0),
+                              "descriptor field_order must be an integer, got 4.0"),
+    }
+    for case, (desc, message) in cases.items():
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(desc))
+        code, out, err = run(capsys, ["tensor", "--algebra", str(path),
+                                      "--left", "x", "--right", "x"])
+        assert (case, code, out, err) == (case, 2, "", f"error: {message}\n")
+
+
 def test_large_m_refused_before_any_table(tmp_path, capsys, monkeypatch):
     # every entry point reaches dihedral_algebra, which refuses an m above
     # the limit before it builds a table; building is patched to fail, so a

@@ -303,16 +303,17 @@ def test_tensor_associativity_multisets(alg3, t1, t2, i1, i2, b):
     assert decompose(left).counter() == decompose(right).counter()
 
 
-def test_not_fusion_ready_module_builds_but_does_not_decompose():
-    from hopfore.groups import GroupData, custom_algebra
-
-    # faithful chi on C_8 but central element g^2: |q| = 4 < 8 = |chi|
-    mul = [[(i + j) % 8 for j in range(8)] for i in range(8)]
-    group = GroupData(mul, generators=(1,))
-    simples = [(f"c{l}", [Matrix(8, [[Cyclotomic.zeta(8, l)]])]) for l in range(8)]
-    chi = [Cyclotomic.zeta(8, k) for k in range(8)]
-    alg = custom_algebra(group, simples, central=2, chi=chi, field_order=8)
+def test_not_fusion_ready_module_builds_but_does_not_decompose(c8_unready):
+    alg = c8_unready
+    assert not alg.fusion_ready
     m = tensor(module_nilpotent(alg, 2, "c0"), module_nilpotent(alg, 1, "c1"))
     assert m.dim == 2
+    with pytest.raises(NotFusionReady):
+        decompose(m)
+    # chi^s = 1 for s the order of chi, so x^s - beta commutes with the
+    # group and the eigenvalue family is a module here too
+    m = module_eigen(alg, 2, "c1", 3)
+    assert m.dim == 2 * alg.s
+    assert validate(m) == []
     with pytest.raises(NotFusionReady):
         decompose(m)

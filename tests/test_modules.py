@@ -1,6 +1,7 @@
 """Explicit module constructors, tensor products, validation."""
 
 import json
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hopfore.modules import (
 )
 from hopfore.syntax import parse_cyclotomic
 
-from conftest import direct_sum, mat_power, word_products
+from conftest import companion_module, direct_sum, mat_power, word_products
 
 
 def test_nilpotent_t1_is_simple_with_zero_x(alg3):
@@ -65,6 +66,63 @@ def test_eigen_two_dim_simple(alg3):
     m = module_eigen(alg3, 1, 1, 1)
     assert m.dim == 4
     assert validate(m) == []
+
+
+def _betas(alg):
+    """Two signs, an integer and an irrational beta."""
+    return (1, -1, 3, Cyclotomic.zeta(alg.field_order) + 2)
+
+
+def companion_to_shift(alg, t, i, beta):
+    """The change of basis P that takes coordinates on x^j v to coordinates
+    on x^r (x^s - beta)^l v: by the binomial theorem,
+    x^(ls+r) v = sum_k C(l, k) beta^(l-k) x^r (x^s - beta)^k v."""
+    b, s, d = alg.scalar(beta), alg.s, alg.simple_by_label[i].dim
+    dim = t * s * d
+    rows = [{} for _ in range(dim)]
+    for l in range(t):
+        for k in range(l + 1):
+            coeff = comb(l, k) * b ** (l - k)
+            for r in range(s):
+                for c in range(d):
+                    rows[(k * s + r) * d + c][(l * s + r) * d + c] = coeff
+    return Matrix.from_rows(alg.field_order, rows, dim)
+
+
+@pytest.mark.parametrize("fixture", ["alg3", "alg5", "c8", "s3c4", "a4c3", "c8_unready"])
+def test_eigen_module_is_the_companion_module(fixture, request):
+    """P old = new P exactly, for x and every generator, where old is the
+    module on the companion basis x^j v with its binomial top stratum."""
+    alg = request.getfixturevalue(fixture)
+    for t in (1, 2, 3, 5):
+        for beta in _betas(alg):
+            for i in alg.labels:
+                old, new = companion_module(alg, t, i, beta), module_eigen(alg, t, i, beta)
+                p = companion_to_shift(alg, t, i, beta)
+                # P fixes v, which generates the module over x, so no other
+                # P (not even a scalar multiple) satisfies both checks below
+                d = alg.simple_by_label[i].dim
+                assert all(p.rows[k].get(c, 0) == (k == c)
+                           for k in range(p.nrows) for c in range(d))
+                assert p @ old.x_action == new.x_action @ p, (t, beta, i)
+                for g_old, g_new in zip(old.gen_actions, new.gen_actions):
+                    assert p @ g_old == g_new @ p, (t, beta, i)
+                assert new.provenance == old.provenance
+                assert validate(new) == []
+
+
+@pytest.mark.parametrize("fixture, t_max", [
+    ("alg3", 64), ("c8", 8), ("s3c4", 8), ("a4c3", 8)])
+def test_eigen_x_entries_are_one_or_beta(fixture, t_max, request):
+    """On x^r (x^s - beta)^l v, x only shifts and adds beta at a wrap: no
+    entry grows with t, as the companion basis's binomials C(t, l) do."""
+    alg = request.getfixturevalue(fixture)
+    for beta in _betas(alg):
+        b = alg.scalar(beta)
+        for i in alg.labels:
+            for t in range(1, t_max + 1):
+                x = module_eigen(alg, t, i, b).x_action
+                assert {v for row in x.rows for v in row.values()} == {alg.one(), b}
 
 
 def test_eigen_zero_beta_rejected(alg3):
