@@ -11,9 +11,14 @@ fractions.Fraction) appear only at the edges: parsing, printing, ordering
 and hashing.  A product with an operand that is exactly 1 or -1 returns the
 other operand or its negation, with no multiplication and no gcd: most
 products of the matrix oracle (group actions, pivots, Kronecker factors)
-are of that kind.  No floating point is used anywhere.  Mixing elements of
-different orders is an error rather than a silent promotion, so callers
-stay inside one fixed field per algebra.
+are of that kind.  The others are mostly products of two roots of unity
++-zeta^e, the entries of monomial group actions: the roots of unity of
+the field are the powers of one root u of order lcm(2, n), and a table per
+order (_roots) maps each one's coordinates to its exponent, so such a
+product is a lookup that returns a shared element, with no convolution.
+No floating point is used anywhere.  Mixing elements of different orders
+is an error rather than a silent promotion, so callers stay inside one
+fixed field per algebra.
 """
 
 from __future__ import annotations
@@ -87,6 +92,22 @@ def _tables(n: int):
             cur = [x + c * t for x, t in zip(cur, top)]
         zpow.append(tuple(cur))
     return d, tuple(reduce_rows), tuple(zpow)
+
+
+@lru_cache(maxsize=None)
+def _roots(n: int):
+    """The roots of unity of Q(zeta_n) as (index, roots): roots[k] = u^k
+    for k < N, shared elements, where N = lcm(2, n) and u = zeta_N (zeta_n
+    for even n, -zeta_n^((n+1)/2) for odd n), and index maps the integer
+    coordinates of u^k to k.  So the product of two roots is
+    roots[(k + l) % N]."""
+    zpow = _tables(n)[2]
+    if n % 2:
+        coords = [zpow[k * (n + 1) // 2 % n] for k in range(2 * n)]
+        coords = [c if k % 2 == 0 else tuple(map(neg, c)) for k, c in enumerate(coords)]
+    else:
+        coords = list(zpow)
+    return {c: k for k, c in enumerate(coords)}, tuple(_make(n, c, 1) for c in coords)
 
 
 def field_degree(n: int) -> int:
@@ -255,6 +276,13 @@ class Cyclotomic:
             if a_rational:
                 q = a[0]
                 return _norm(order, tuple(x * q for x in b), self.den * other.den)
+            if self.den == 1 and other.den == 1:
+                index, roots = _roots(order)
+                i = index.get(a)
+                if i is not None:
+                    j = index.get(b)
+                    if j is not None:
+                        return roots[(i + j) % len(roots)]
             return _norm(order, _mul_num(order, a, b), self.den * other.den)
         if isinstance(other, (int, Rational)):
             q = other.numerator

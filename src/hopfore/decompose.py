@@ -55,17 +55,36 @@ so dim U - dim I_last is that eigenspace's dimension in U.  A final
 cross-check recomputes the group-level isotypic decomposition from the
 labels and compares it against the module itself.
 
-Multiplicities come from characters, which are class functions, so group
-actions and their traces are taken at one representative per conjugacy
-class (GroupData.classes), and AlgebraData.multiplicities turns them into
+Multiplicities come from characters, which are class functions, and
+AlgebraData.multiplicities turns traces at the class representatives into
 multiplicities: the same inner product, with the same exactness guard,
 that builds the fusion table the closed rules use, evaluated as integer
 dot products of the traces' numerators with the algebra's stored form.
 That is only valid for representations: the input module must be one,
-which validate() checks.  U is spanned by basis vectors, so trace(g | I_0)
-is the sum of g's diagonal over U; only the smaller images need
-sp_trace_restrict.  Both sum their terms on integer numerators over one
-denominator (Cyclotomic.sum).
+which validate() checks.
+
+Group actions are taken once per orbit of the classes under the powers of
+the central element a (AlgebraData.central_orbits): orbit o has one
+element g, and each of its classes holds some g a^e.  The image chain,
+U included, is a-stable, and when a acts diagonally each reduced row
+echelon basis vector lies in the weight space of its pivot.  Since a^e
+acts on the weight mu by mu^e,
+
+  trace(g a^e | I) = sum over mu of mu^e t_mu(g),
+
+where t_mu(g) is the trace of g over the basis vectors of I whose pivot
+has weight mu.  For c != 0, U is one weight space lambda, so an orbit
+costs one trace and its classes scale it by lambda^e.  On the dihedral
+algebra with m = 2k + 1 the orbit elements are e, the two generators and
+r^2, ..., r^k, so a tensor product builds Kronecker products of actions
+only at those r^j and at a, for its diagonal.  When a is not diagonal
+(possible only when there is no nonzero candidate), every class is its own
+orbit with e = 0 and every weight is 1, so the same sums are the traces at
+the class representatives.  U is spanned by basis vectors, so its t_mu(g) are sums
+of g's diagonal; only the smaller images need sp_trace_restrict.  Both
+sum their terms on integer numerators over one denominator
+(Cyclotomic.sum).  The isotypic cross-check reads the module's own
+diagonals the same way.
 """
 
 from __future__ import annotations
@@ -99,13 +118,15 @@ def isotypic_multiplicities(m: ExplicitModule) -> dict:
     """Multiplicity of each simple inside m as a module over the group.
 
     m must be a representation of the group (validate() checks this): the
-    traces are taken at the conjugacy class representatives only.  Many
-    non-representations still fail here with NonIntegerMultiplicity, but
-    not all of them need to.
+    traces are taken at the central orbits' elements only and scaled by
+    the weights of a (_orbit_table).  Many non-representations still fail
+    here with NonIntegerMultiplicity, but not all of them need to.
     """
     alg = m.alg
-    return alg.multiplicities(
-        [m.element_action(g).trace() for g, _ in alg.group.classes])
+    table, weights, _ = _orbit_table(alg, m.element_action(alg.central).rows)
+    actions = [m.element_action(g).rows for g, _ in table]
+    return alg.multiplicities(_class_traces(
+        alg, table, _diagonal_traces(alg.field_order, actions, range(m.dim), weights)))
 
 
 def decompose(m: ExplicitModule) -> DecompResult:
@@ -124,17 +145,23 @@ def decompose(m: ExplicitModule) -> DecompResult:
     if dim == 0:
         return DecompResult((), 0, ())
 
-    actions = [m.element_action(g) for g, _ in alg.group.classes]
+    a_rows = m.element_action(alg.central).rows
+    table, weights, off = _orbit_table(alg, a_rows)
+    actions = [m.element_action(g).rows for g, _ in table]
     x_rows = m.x_action.rows
     candidates = sorted((c for c in m.provenance if c), key=lambda v: v.sort_key())
     if candidates:
+        if off is not None:
+            raise InvalidParameter(
+                "decompose needs the central element to act diagonally; "
+                f"row {off} of its action is off the diagonal")
         # X on one weight space per <q>-coset, as s - 1 products of rows
         big_x = []
-        for weight, support in _weight_spaces(alg, m.element_action(alg.central).rows):
+        for support in _weight_spaces(alg, weights):
             rows = [x_rows[k] for k in support]
             for _ in range(alg.s - 1):
                 rows = sp_matmul(rows, x_rows)
-            big_x.append((weight, support, rows))
+            big_x.append((support, rows))
 
     labels: Counter = Counter()
     eigenvalues = []
@@ -144,12 +171,13 @@ def decompose(m: ExplicitModule) -> DecompResult:
             break
         if c:
             found = alg.s * sum(
-                _count_strings(alg, labels, c, support, rows, actions, weight)
-                for weight, support, rows in big_x)
+                _count_strings(alg, labels, c, support, rows, actions, table, weights)
+                for support, rows in big_x)
             if found:
                 eigenvalues.append(c)
         else:
-            found = _count_strings(alg, labels, c, range(dim), x_rows, actions, None)
+            found = _count_strings(alg, labels, c, range(dim), x_rows, actions, table,
+                                   weights)
         covered += found
 
     if covered != dim:
@@ -178,21 +206,70 @@ def decompose(m: ExplicitModule) -> DecompResult:
     return DecompResult(tuple(sorted_items(alg, labels)), dim, tuple(eigenvalues))
 
 
-def _weight_spaces(alg: AlgebraData, a_rows) -> list:
-    """(weight, basis indices of its weight space) for the first weight in
-    basis order of each <q>-coset of the weights of a; a_rows must be
-    diagonal."""
+def _orbit_table(alg: AlgebraData, a_rows):
+    """(table, weights, off): the orbits to take traces by, the a-weight
+    of each basis vector, and the first row of a off the diagonal.
+
+    When a acts diagonally, table is AlgebraData.central_orbits, weights is
+    a's diagonal and off is None.  Otherwise every class is its own orbit,
+    taken at its representative with e = 0, and every weight is 1, so the
+    same sums give the traces at the representatives themselves.
+    """
+    off = next((k for k, row in enumerate(a_rows) if len(row) != 1 or k not in row),
+               None)
+    if off is None:
+        return alg.central_orbits, [row[k] for k, row in enumerate(a_rows)], None
+    table = tuple((g, ((k, 0),)) for k, (g, _) in enumerate(alg.group.classes))
+    return table, [alg.one()] * len(a_rows), off
+
+
+def _diagonal_traces(order: int, actions, support, weights) -> list:
+    """Per action, {mu: t_mu(g)} on the span of the basis vectors in
+    support: the sum of its diagonal over those of weight mu."""
     spaces = {}
-    for k, row in enumerate(a_rows):
-        if len(row) != 1 or k not in row:
-            raise InvalidParameter(
-                "decompose needs the central element to act diagonally; "
-                f"row {k} of its action is off the diagonal")
-        spaces.setdefault(row[k], []).append(k)
+    for k in support:
+        spaces.setdefault(weights[k], []).append(k)
+    return [{mu: Cyclotomic.sum(order, [rows[k][k] for k in ks if k in rows[k]])
+             for mu, ks in spaces.items()}
+            for rows in actions]
+
+
+def _weight_traces(order: int, actions, basis, weights) -> list:
+    """Per action, {mu: t_mu(g)} on the a-stable subspace with sp_rref
+    basis `basis`: the trace over the basis vectors whose pivot has weight
+    mu, each of which lies in that weight space."""
+    groups = {}
+    for vec, p in zip(*basis):
+        vecs, pivots = groups.setdefault(weights[p], ([], []))
+        vecs.append(vec)
+        pivots.append(p)
+    return [{mu: sp_trace_restrict(order, rows, sub) for mu, sub in groups.items()}
+            for rows in actions]
+
+
+def _class_traces(alg: AlgebraData, table, parts) -> list:
+    """Traces at the class representatives, in group.classes order, from
+    parts[o] = {mu: t_mu(g)} at the element g of orbit o: the class of
+    g a^e has trace sum over mu of mu^e t_mu(g)."""
+    order = alg.field_order
+    out = [None] * len(alg.group.classes)
+    for (_, members), by_weight in zip(table, parts):
+        for k, e in members:
+            terms = [mu ** e * t for mu, t in by_weight.items()]
+            out[k] = terms[0] if len(terms) == 1 else Cyclotomic.sum(order, terms)
+    return out
+
+
+def _weight_spaces(alg: AlgebraData, weights) -> list:
+    """Basis indices of the weight space of the first weight in basis order
+    of each <q>-coset of the weights."""
+    spaces = {}
+    for k, weight in enumerate(weights):
+        spaces.setdefault(weight, []).append(k)
     out, seen = [], set()
     for weight, support in spaces.items():
         if weight not in seen:
-            out.append((weight, support))
+            out.append(support)
             w = weight
             seen.add(w)
             for _ in range(alg.s - 1):
@@ -202,14 +279,15 @@ def _weight_spaces(alg: AlgebraData, a_rows) -> list:
 
 
 def _count_strings(alg: AlgebraData, labels: Counter, c, support, rows, actions,
-                   weight) -> int:
+                   table, weights) -> int:
     """Count the strings of eigenvalue c on the span U of the basis vectors
     in support, from the image chain of N = rows - c; returns the dimension
     of the generalized eigenspace of c in U.
 
     rows are the rows at support of x (c = 0, U the whole module) or of
-    X = x^s (c != 0, U the weight space of weight).  actions are the
-    group's Matrix actions at the class representatives.
+    X = x^s (c != 0, U one weight space).  actions are the group's actions
+    (row lists) at the elements of the orbit table, and weights the
+    a-weight of each basis vector (_orbit_table).
     """
     order = alg.field_order
     classes = alg.group.classes
@@ -238,17 +316,17 @@ def _count_strings(alg: AlgebraData, labels: Counter, c, support, rows, actions,
                 col[k] = v
             else:
                 del col[k]
-    dim = actions[0].ncols
+    dim = len(weights)
     below = sp_rref(list(columns.values()), dim)
     rank = len(columns)
     if len(below[0]) == rank:
         return 0  # N is invertible on U: c is not an eigenvalue of x^s there
     # I_0 is U, spanned by basis vectors
-    traces = [Cyclotomic.sum(order, [a.rows[k][k] for k in support if k in a.rows[k]])
-              for a in actions]
+    traces = _class_traces(alg, table, _diagonal_traces(order, actions, support, weights))
     mus = []  # mus[j] = isotypic multiplicities inside K_j
     while len(below[0]) < rank:
-        below_traces = [sp_trace_restrict(order, a.rows, below) for a in actions]
+        below_traces = _class_traces(alg, table, _weight_traces(order, actions, below,
+                                                                weights))
         mus.append(alg.multiplicities([
             t - w * u for t, w, u in zip(traces, twists, below_traces)]))
         rank, traces = len(below[0]), below_traces
@@ -266,6 +344,7 @@ def _count_strings(alg: AlgebraData, labels: Counter, c, support, rows, actions,
                 if mult:
                     labels[IndecLabel(NIL, t, i)] += mult
     else:
+        weight = weights[support[0]]
         for rep, orbit in zip(alg.orbit_reps, alg.orbits):
             top = next((i for i in orbit if alg.omega[i] == weight), None)
             if top is None:

@@ -31,6 +31,13 @@ nonzero numerator, and the slots are read back as signed integers.  W is
 chosen from the inputs so that no slot can reach 2^(W-1), which makes the
 read-back exact; see AlgebraData.multiplicities.
 
+Since a is central, multiplying by its powers permutes the conjugacy
+classes.  AlgebraData.central_orbits lists the orbits of that action, each
+with one element g (the identity or a generator when the orbit holds one)
+and, per class, an exponent e with g a^e in the class, so that decompose
+takes the group's action at g alone and scales its traces by the weights
+of a.
+
 Element matrices come from one breadth-first pass over the group
 (element_matrices): each element's matrix is its parent's times one
 generator matrix, and every other (element, generator) product is compared
@@ -64,7 +71,7 @@ class GroupData:
     """A finite group as a multiplication table plus chosen generators."""
 
     __slots__ = ("size", "mul", "identity", "inverse", "generators", "words", "names",
-                 "classes")
+                 "classes", "class_of")
 
     def __init__(self, mul, generators, names=None):
         mul = tuple(tuple(row) for row in mul)
@@ -120,7 +127,9 @@ class GroupData:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "words", tuple(words[e] for e in range(size)))
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "classes", _conjugacy_classes(mul, inverse))
+        classes, class_of = _conjugacy_classes(mul, inverse)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "class_of", class_of)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupData is immutable")
@@ -129,24 +138,26 @@ class GroupData:
         return all(self.mul[g][h] == self.mul[h][g] for h in range(self.size))
 
 
-def _conjugacy_classes(mul, inverse) -> tuple[tuple[int, int], ...]:
-    """(representative, size) per conjugacy class, ordered by representative.
+def _conjugacy_classes(mul, inverse):
+    """(classes, class_of): (representative, size) per conjugacy class,
+    ordered by representative, and the index in classes of each element's
+    class.
 
     Scanning elements in index order, the first element not yet in a class
     is the smallest of its own class, so it is the representative; each
     class costs one pass over the group, O(n^2) in all.
     """
     size = len(mul)
-    seen = [False] * size
+    class_of = [None] * size
     classes = []
     for g in range(size):
-        if seen[g]:
+        if class_of[g] is not None:
             continue
         members = {mul[mul[h][g]][inverse[h]] for h in range(size)}
         for c in members:
-            seen[c] = True
+            class_of[c] = len(classes)
         classes.append((g, len(members)))
-    return tuple(classes)
+    return tuple(classes), tuple(class_of)
 
 
 class SimpleRep:
@@ -205,6 +216,35 @@ def element_matrices(group: GroupData, gen_mats, field_order: int, dim: int):
     return [mats[g] for g in range(group.size)], sorted(violations)
 
 
+def _central_orbits(group: GroupData, central: int):
+    """The orbits of the conjugacy classes under multiplication by the
+    powers of the central element a, as (g, ((class index, e), ...)) with
+    g a^e in that class, e the least such exponent.
+
+    g is the identity or a generator when the orbit holds one, since every
+    module holds those actions from the start, and otherwise the smallest
+    class representative in the orbit.  Orbits are listed by their
+    smallest class representative.
+    """
+    mul, class_of = group.mul, group.class_of
+    powers = [group.identity]
+    while mul[powers[-1]][central] != group.identity:
+        powers.append(mul[powers[-1]][central])
+    held = (group.identity,) + group.generators
+    orbits, placed = [], set()
+    for k, (rep, _) in enumerate(group.classes):
+        if k in placed:
+            continue
+        orbit = {class_of[mul[rep][p]] for p in powers}
+        placed |= orbit
+        g = next((h for h in held if class_of[h] in orbit), rep)
+        members = {}
+        for e, p in enumerate(powers):
+            members.setdefault(class_of[mul[g][p]], e)
+        orbits.append((g, tuple(sorted(members.items()))))
+    return tuple(orbits)
+
+
 class AlgebraData:
     """Validated extension data with derived sigma/omega/fusion tables."""
 
@@ -212,8 +252,8 @@ class AlgebraData:
         "group", "field_order", "central", "chi", "q", "s", "fusion_ready",
         "simples", "labels", "label_index", "simple_by_label", "sigma",
         "omega", "orbits", "orbit_rep", "orbit_reps", "fusion",
-        "char_form", "char_den", "kind", "descriptor", "_omega_s", "_hash",
-        "_form_bits", "_packs",
+        "char_form", "char_den", "central_orbits", "kind", "descriptor", "_omega_s",
+        "_hash", "_form_bits", "_packs",
     )
 
     def __init__(self, group, simples, central, chi, field_order, kind, descriptor):
@@ -240,6 +280,7 @@ class AlgebraData:
         object.__setattr__(self, "fusion_ready", q.multiplicative_order() == s)
         self._build_sigma_omega()
         self._build_fusion()
+        object.__setattr__(self, "central_orbits", _central_orbits(group, central))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):

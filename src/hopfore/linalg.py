@@ -261,15 +261,14 @@ def sp_trace_restrict(order: int, rows: list[dict],
 
     The coordinate of A b_k along b_l is entry p_l of A b_k, since the
     basis is reduced at its pivots p_l, so the trace is the sum over k of
-    row p_k of A times b_k.  Invariance is the caller's responsibility.
+    row p_k of A times b_k.  Invariance is the caller's responsibility; A
+    must have a row at every pivot (IndexError otherwise), as a square
+    operator on the basis's space has.
     """
     vecs, pivots = basis
     terms = []
     for col, p in zip(vecs, pivots):
-        row = rows[p] if p < len(rows) else None
-        if not row:
-            continue
-        for k, v in row.items():
+        for k, v in rows[p].items():
             c = col.get(k)
             if c is not None:
                 terms.append(v * c)

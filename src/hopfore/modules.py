@@ -167,9 +167,28 @@ def tensor(m: ExplicitModule, n: ExplicitModule) -> ExplicitModule:
     gen_actions = [
         gm.tensor_product(gn) for gm, gn in zip(m.gen_actions, n.gen_actions)
     ]
-    a_on_n = n.element_action(alg.central)
-    x_action = (m.x_action.tensor_product(a_on_n)
-                + Matrix.identity(alg.field_order, m.dim).tensor_product(n.x_action))
+    # x (.) a + 1 (.) x in one pass: row (i, j) is row i of x times row j
+    # of a, plus row j of n's x in block i
+    nd = n.dim
+    a_rows = n.element_action(alg.central).rows
+    x_rows = []
+    for i, xrow in enumerate(m.x_action.rows):
+        base = i * nd
+        for arow, nxrow in zip(a_rows, n.x_action.rows):
+            row = {k * nd + l: u * v for k, u in xrow.items() for l, v in arow.items()}
+            for l, v in nxrow.items():
+                key = base + l
+                cur = row.get(key)
+                if cur is None:
+                    row[key] = v
+                else:
+                    cur = cur + v
+                    if cur:
+                        row[key] = cur
+                    else:
+                        del row[key]
+            x_rows.append(row)
+    x_action = Matrix.from_rows(alg.field_order, x_rows, m.dim * nd)
     # x^s acts as x^s (.) a^s + 1 (.) x^s with commuting terms, and a^s acts
     # on a composition factor V_i by omega_i^s (1 for the trivial simple)
     omegas = {alg.omega_s(l) for l in alg.labels}

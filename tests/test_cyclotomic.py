@@ -324,3 +324,39 @@ def test_plus_minus_one_keep_the_order_check():
             u * Cyclotomic.zeta(10)
         with pytest.raises(OrderMismatch):
             Cyclotomic.zeta(10) * u
+
+
+def test_root_products_by_table(monkeypatch):
+    # the roots of unity of Q(zeta_n) are +-zeta_n^e; a product of two of
+    # them is read from a table with no convolution, and equals it
+    from hopfore import cyclotomic
+
+    mul_num = cyclotomic._mul_num
+    calls = []
+
+    def counting(order, a, b):
+        calls.append(order)
+        return mul_num(order, a, b)
+
+    for order in range(3, 17):
+        roots = [s * Cyclotomic.zeta(order, e) for e in range(order) for s in (1, -1)]
+        want = {(x, y): cyclotomic._norm(order, mul_num(order, x.num, y.num), 1)
+                for x in roots for y in roots}
+        others = [x for x in _unit_cases(order) if any(x.num[1:])]
+        others += [3 * Cyclotomic.zeta(order), Cyclotomic.zeta(order) - 1]
+        monkeypatch.setattr(cyclotomic, "_mul_num", counting)
+        for (x, y), ref in want.items():
+            p = x * y
+            assert p == ref and p.den == 1, (order, x, y)
+            if any(x.num[1:]) and any(y.num[1:]):
+                assert p is x * y  # a shared element; +-1 keep their own path
+        assert calls == [], order
+        # a root times a non-root still multiplies out, in either order
+        for x in roots[2:6]:
+            for y in others:
+                for p in (x * y, y * x):
+                    _assert_canonical(p)
+                    assert p.coeffs == _reference_product(order, x, y)
+        assert calls, order
+        calls.clear()
+        monkeypatch.setattr(cyclotomic, "_mul_num", mul_num)

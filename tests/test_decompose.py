@@ -8,16 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfore.cyclotomic import Cyclotomic, Rational
-from hopfore.decompose import decompose, isotypic_multiplicities
+from hopfore.decompose import (
+    _class_traces, _diagonal_traces, _orbit_table, _weight_traces, decompose,
+    isotypic_multiplicities,
+)
 from hopfore.errors import (
     CandidatePoolIncomplete, InvalidParameter, NonIntegerMultiplicity, NotFusionReady,
 )
-from hopfore.grid import check_pair, grid_labels
+from hopfore.grid import build_module, check_pair, grid_labels
 from hopfore.labels import EIG, NIL, IndecLabel, canonicalize
-from hopfore.linalg import Matrix
+from hopfore.linalg import Matrix, sp_rref, sp_trace_restrict
 from hopfore.modules import ExplicitModule, module_eigen, module_nilpotent, tensor, validate
 
-from conftest import direct_sum
+from conftest import direct_sum, mat_power, word_products
 
 
 def test_isotypic_examples(alg3):
@@ -317,3 +320,95 @@ def test_not_fusion_ready_module_builds_but_does_not_decompose(c8_unready):
     assert validate(m) == []
     with pytest.raises(NotFusionReady):
         decompose(m)
+
+
+def _image_chains(mod):
+    """sp_rref bases of the images of the powers of x, and of x^s - c for
+    each nonzero c in the provenance: submodules on which a acts."""
+    alg = mod.alg
+    x_s = mat_power(mod.x_action, alg.s)
+    ops = [mod.x_action] + [
+        x_s + Matrix.scalar(alg.field_order, mod.dim, -c) for c in mod.provenance if c]
+    out = []
+    for op in ops:
+        power = op
+        for _ in range(3):
+            cols = [{i: row[j] for i, row in enumerate(power.rows) if j in row}
+                    for j in range(mod.dim)]
+            basis = sp_rref(cols, mod.dim)
+            if not basis[0]:
+                break
+            out.append(basis)
+            power = power @ op
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["alg3", "alg5", "alg7", "c8", "s3c4", "a4c3"])
+def test_orbit_traces_match_traces_at_every_class(fixture, request):
+    # trace(g a^e | I) = sum over mu of mu^e t_mu(g), against the trace of
+    # each class representative's own matrix (its generator word) on I
+    alg = request.getfixturevalue(fixture)
+    group, order = alg.group, alg.field_order
+    labels = grid_labels(alg, 2, 1, (1, 2))
+    picks = random.Random(20261103).sample([(l, r) for l in labels for r in labels], 6)
+    subspaces = 0
+    for left, right in picks:
+        mod = tensor(build_module(alg, left), build_module(alg, right))
+        table, weights, off = _orbit_table(alg, mod.element_action(alg.central).rows)
+        assert off is None and table is alg.central_orbits
+        actions = [mod.element_action(g).rows for g, _ in table]
+        words = word_products(group, mod.gen_actions, order, mod.dim)
+        reps = [words[g] for g, _ in group.classes]
+        whole = _class_traces(alg, table, _diagonal_traces(order, actions, range(mod.dim),
+                                                           weights))
+        assert whole == [r.trace() for r in reps], (left, right)
+        assert isotypic_multiplicities(mod) == alg.multiplicities(whole)
+        for basis in _image_chains(mod):
+            subspaces += 1
+            got = _class_traces(alg, table, _weight_traces(order, actions, basis, weights))
+            assert got == [sp_trace_restrict(order, r.rows, basis) for r in reps], (
+                left, right)
+    assert subspaces >= 6, subspaces
+
+
+def test_orbit_traces_without_a_diagonal(alg3):
+    # a basis where a is not diagonal: every class is its own orbit at its
+    # representative, and the same sums give the same traces
+    nil = module_nilpotent(alg3, 2, 1)
+    n = alg3.field_order
+    sheared = _conjugate(nil, Matrix(n, [[1, 0, 1, 0], [0, 1, 0, 0],
+                                         [0, 0, 1, 0], [0, 0, 0, 1]]),
+                         Matrix(n, [[1, 0, -1, 0], [0, 1, 0, 0],
+                                    [0, 0, 1, 0], [0, 0, 0, 1]]))
+    table, weights, off = _orbit_table(alg3, sheared.element_action(alg3.central).rows)
+    assert off == 0
+    assert [g for g, _ in table] == [g for g, _ in alg3.group.classes]
+    assert all(len(members) == 1 and members[0][1] == 0 for _, members in table)
+    actions = [sheared.element_action(g).rows for g, _ in table]
+    traces = _class_traces(alg3, table, _diagonal_traces(n, actions, range(4), weights))
+    assert traces == [sheared.element_action(g).trace() for g, _ in alg3.group.classes]
+    assert isotypic_multiplicities(sheared) == isotypic_multiplicities(nil)
+
+
+def test_group_actions_at_orbit_elements_only(alg5, monkeypatch):
+    # m = 5: the orbits of the classes under a = r^5 are {e, a}, {r, r^4},
+    # {r^2, r^3} and {s, rs}, so beyond tensor's own generator products
+    # only a (for its diagonal) and r^2 need a Kronecker product
+    left = module_eigen(alg5, 2, 1, 2)
+    right = module_nilpotent(alg5, 3, 2)
+    calls = []
+    kron = Matrix.tensor_product
+
+    def counting(self, other):
+        calls.append((self.nrows, other.nrows))
+        return kron(self, other)
+
+    monkeypatch.setattr(Matrix, "tensor_product", counting)
+    prod = tensor(left, right)
+    assert len(calls) == len(alg5.group.generators)
+    calls.clear()
+    got = decompose(prod)
+    assert len(calls) <= 2, calls
+    monkeypatch.undo()
+    assert got.counter() == decompose(tensor(left, right)).counter()
+    assert got.total_dim == prod.dim

@@ -1,9 +1,13 @@
 """The two routes stay separate: the matrix oracle and the closed rules
 import nothing of each other, read off the package's import statements.
 And the public surface is what the package and the bench call, with no
-defaulted parameter that no caller sets."""
+defaulted parameter that no caller sets, and every name the traced bench
+wraps is still there."""
 
 import ast
+import importlib
+import importlib.util
+import types
 from pathlib import Path
 
 import hopfore
@@ -201,3 +205,23 @@ def test_every_default_is_passed():
         f"keeps: {sorted(unpassed - set(UNPASSED_DEFAULTS))}; listed "
         f"parameters that a call now passes: "
         f"{sorted(set(UNPASSED_DEFAULTS) - unpassed)}")
+
+
+def test_traced_bench_names_resolve():
+    # bench/tracing.py wraps these (module, attribute path) pairs by name
+    # and reports a name it cannot find as missing: each must still be a
+    # plain function of the package
+    path = PACKAGE.parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [(layer, attr) for layer, attr, _ in tracing.EXTRA_SPANS + tracing.COUNTED]
+    assert ("decompose", "_count_strings") in names
+    unresolved = []
+    for layer, attr in names:
+        obj = importlib.import_module(f"hopfore.{layer}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not isinstance(obj, types.FunctionType):
+            unresolved.append(f"{layer}.{attr}")
+    assert not unresolved, unresolved

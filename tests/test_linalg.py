@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hopfore.cyclotomic import Cyclotomic, Rational
 from hopfore.errors import ShapeMismatch
 from hopfore.groups import algebra_from_descriptor, custom_algebra
-from hopfore.linalg import Matrix, sp_rref
+from hopfore.linalg import Matrix, sp_rref, sp_trace_restrict
 
 
 def M(order, rows):
@@ -225,3 +225,31 @@ def test_sp_rref_fixed_cases():
     assert got[1] == [0, 1, 2, 3]
     assert rows == snapshot
     assert sp_rref([{}, {}], 3) == ([], [])
+
+
+def test_sp_trace_restrict_is_the_trace_in_a_basis_of_the_subspace():
+    # A = P B P^-1 with B block upper triangular: the first two columns of
+    # P span an A-invariant subspace W, on which A acts in that basis by the
+    # top-left block of B, so the trace on W is that block's trace
+    order = 6
+    w = Cyclotomic.zeta(order)
+    lower = M(order, [[0, 0, 0, 0], [w, 0, 0, 0], [2, 1 - w, 0, 0],
+                      [Rational(1, 3), w * w, -1, 0]])
+    eye = Matrix.identity(order, 4)
+    p = eye + lower
+    square = lower @ lower
+    p_inv = eye + lower.scale(-1) + square + (square @ lower).scale(-1)
+    assert p @ p_inv == eye
+    top = [[w + 2, 1], [3 * w, -w]]
+    b = M(order, [top[0] + [5, w], top[1] + [0, 1], [0, 0, 7, w], [0, 0, 1, 1 - w]])
+    a = p @ b @ p_inv
+    span = [{i: p.rows[i][j] for i in range(4) if j in p.rows[i]} for j in (0, 1)]
+    basis = sp_rref(span, 4)
+    assert basis[1] == [0, 1]
+    assert sp_trace_restrict(order, a.rows, basis) == top[0][0] + top[1][1]
+    # the whole space gives the whole trace, and the zero subspace 0
+    assert sp_trace_restrict(order, a.rows, sp_rref(eye.rows, 4)) == a.trace()
+    assert sp_trace_restrict(order, a.rows, ([], [])) == Cyclotomic.zero(order)
+    # an operator with fewer rows than a pivot is a shape error, not 0
+    with pytest.raises(IndexError):
+        sp_trace_restrict(order, a.rows[:1], basis)

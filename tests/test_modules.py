@@ -162,6 +162,28 @@ def test_tensor_provenance_closure(alg3):
     assert prod.provenance == {alg3.scalar(5)}
 
 
+@pytest.mark.parametrize("fixture", ["alg3", "alg5", "c8", "s3c4"])
+def test_tensor_x_is_the_kronecker_sum(fixture, request):
+    # x acts on a tensor product as x (.) a + 1 (.) x, built here from two
+    # Kronecker products and a sum.  Custom x's with a diagonal make the
+    # two terms meet on the diagonal: x - 1 on the left and x + a on the
+    # right cancel there, since a acts diagonally
+    alg = request.getfixturevalue(fixture)
+    n = alg.field_order
+    eig = module_eigen(alg, 2, alg.labels[1], 2)
+    nil = module_nilpotent(alg, 3, alg.labels[0])
+    minus = ExplicitModule(alg, eig.gen_actions,
+                           eig.x_action + Matrix.scalar(n, eig.dim, -1), [2])
+    plus = ExplicitModule(alg, eig.gen_actions,
+                          eig.x_action + eig.element_action(alg.central), [2])
+    for left, right in ((eig, nil), (nil, eig), (eig, eig), (minus, eig), (minus, plus)):
+        want = (left.x_action.tensor_product(right.element_action(alg.central))
+                + Matrix.identity(n, left.dim).tensor_product(right.x_action))
+        assert tensor(left, right).x_action == want
+    cancelled = tensor(minus, plus).x_action.rows
+    assert all(k not in row for k, row in enumerate(cancelled))
+
+
 def test_tensor_mismatch(alg3, alg5):
     with pytest.raises(AlgebraMismatch):
         tensor(module_nilpotent(alg3, 1, "eps"), module_nilpotent(alg5, 1, "eps"))

@@ -176,3 +176,22 @@ def test_cyclotomic_print_parse_round_trip(coeffs, den):
     val = sum((Cyclotomic.zeta(6, k) * Rational(c, den)
                for k, c in enumerate(coeffs)), Cyclotomic.zero(6))
     assert parse_cyclotomic(6, val.to_literal()) == val
+
+
+def test_readme_scalar_examples_parse(alg3):
+    # every literal in the README's list of beta scalars is one, as a
+    # literal and inside an eigen-type label
+    from pathlib import Path
+    import re
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("Scalars in `beta` are exact cyclotomic literals"):]
+    listed = re.search(r"\(((?:`[^`]+`(?:, )?)+)\)", paragraph[:paragraph.index("\n\n")])
+    examples = re.findall(r"`([^`]+)`", listed.group(1))
+    assert len(examples) == 5, examples
+    order = alg3.field_order
+    for text in examples:
+        value = parse_cyclotomic(order, text)
+        assert value
+        assert parse_label(f"V[1](eps;{text})", alg3) == canonicalize(
+            alg3, EIG, 1, "eps", value)
