@@ -39,24 +39,30 @@ orbit has at most one member i' on the weight space, and each
 Eig(r, [i], c) has one copy of i' in its socle there.  x does not preserve the
 weight spaces, so c = 0 counts on the whole module.
 
-The K_j are never built; their characters come from the image chain
+The K_j are never built; their multiplicities come from the image chain
 I_0 = the span U counted on, I_{j+1} = N(I_j) (each a reduced row echelon
-basis from sp_rref), which falls until N is invertible on I_j.  N maps
-I_j onto I_{j+1} with kernel K_j, and it twists the group action:
-x g = chi^{-1}(g) g x, while X commutes with the group.  So at every
-group element g
+basis from sp_rref), which falls until N is invertible on I_j.  Each I_j
+is a submodule over the group, since X commutes with the group and x
+skew-commutes with it, so its multiplicities M_j are a character's and
+pass the exactness guard on their own.  N maps I_j onto I_{j+1} with
+kernel K_j.  X commutes with the group, so for c != 0, I_j / K_j is
+I_{j+1} and K_j holds V_l M_j(l) - M_{j+1}(l) times.  x twists the
+action, x g = chi^{-1}(g) g x, so for c = 0, I_j / K_j is I_{j+1} (.)
+chi^{-1}; since sigma(l) labels chi (.) V_l, K_j holds V_l
+M_j(l) - M_{j+1}(sigma(l)) times.  A negative count can only come from a
+module that is no representation and raises NonIntegerMultiplicity, as
+the guard would for the character of K_j.  So each step of the chain
+costs one inner product, on I_{j+1} alone.  By Fitting's lemma U is the
+generalized eigenspace of c plus the last image, so dim U - dim I_last is
+that eigenspace's dimension in U.
 
-  trace(g | K_j) = trace(g | I_j) - twist(g) * trace(g | I_{j+1}),
-
-with twist = chi^{-1} for c = 0 and twist = 1 otherwise, and the
-multiplicities of K_j follow from traces on the image chain alone.  By
-Fitting's lemma U is the generalized eigenspace of c plus the last image,
-so dim U - dim I_last is that eigenspace's dimension in U.  A final
-cross-check recomputes the group-level isotypic decomposition from the
-labels and compares it against the module itself.
+The whole module's multiplicities are taken once, before the candidate
+loop: they are M_0 for c = 0, where U is the whole module, and the final
+cross-check compares them against the isotypic content the labels
+imply.  For c != 0, M_0 comes from the weight space's own diagonals.
 
 Multiplicities come from characters, which are class functions, and
-AlgebraData.multiplicities turns traces at the class representatives into
+AlgebraData.multiplicities turns per-orbit, per-weight traces into
 multiplicities: the same inner product, with the same exactness guard,
 that builds the fusion table the closed rules use, evaluated as integer
 dot products of the traces' numerators with the algebra's stored form.
@@ -73,18 +79,21 @@ acts on the weight mu by mu^e,
   trace(g a^e | I) = sum over mu of mu^e t_mu(g),
 
 where t_mu(g) is the trace of g over the basis vectors of I whose pivot
-has weight mu.  For c != 0, U is one weight space lambda, so an orbit
-costs one trace and its classes scale it by lambda^e.  On the dihedral
-algebra with m = 2k + 1 the orbit elements are e, the two generators and
-r^2, ..., r^k, so a tensor product builds Kronecker products of actions
-only at those r^j and at a, for its diagonal.  When a is not diagonal
-(possible only when there is no nonzero candidate), every class is its own
-orbit with e = 0 and every weight is 1, so the same sums are the traces at
-the class representatives.  U is spanned by basis vectors, so its t_mu(g) are sums
-of g's diagonal; only the smaller images need sp_trace_restrict.  Both
-sum their terms on integer numerators over one denominator
-(Cyclotomic.sum).  The isotypic cross-check reads the module's own
-diagonals the same way.
+has weight mu.  Those sums are never formed: the parts {mu: t_mu(g)} go
+to AlgebraData.multiplicities as they are, which applies the weights
+inside its stored form.  For c != 0, U is one weight space, so an orbit
+costs one trace.  On the dihedral algebra with m = 2k + 1 the orbit
+elements are e, the two generators and r^2, ..., r^k, so a tensor
+product builds Kronecker products of actions only at those r^j and at
+a, for its diagonal.  When a is not diagonal (possible only when there
+is no nonzero candidate), the table is AlgebraData.class_table: every
+class is its own orbit with e = 0 and every weight is 1, so the parts
+are the traces at the class representatives.  At the identity, t_mu is
+the number of basis vectors of weight mu (support indices for U, pivots
+for an image), so no trace reads the identity's rows.  U is spanned by
+basis vectors, so its other t_mu(g) are sums of g's diagonal; only the
+smaller images need sp_trace_restrict.  Both sum their terms on integer
+numerators over one denominator (Cyclotomic.sum).
 """
 
 from __future__ import annotations
@@ -94,7 +103,8 @@ from dataclasses import dataclass
 
 from .cyclotomic import Cyclotomic
 from .errors import (
-    CandidatePoolIncomplete, InternalInconsistency, InvalidParameter, NotFusionReady,
+    CandidatePoolIncomplete, InternalInconsistency, InvalidParameter,
+    NonIntegerMultiplicity, NotFusionReady,
 )
 from .groups import AlgebraData
 from .labels import IndecLabel, NIL, EIG, multiset_dim, sorted_items
@@ -118,15 +128,15 @@ def isotypic_multiplicities(m: ExplicitModule) -> dict:
     """Multiplicity of each simple inside m as a module over the group.
 
     m must be a representation of the group (validate() checks this): the
-    traces are taken at the central orbits' elements only and scaled by
-    the weights of a (_orbit_table).  Many non-representations still fail
-    here with NonIntegerMultiplicity, but not all of them need to.
+    traces are taken at the central orbits' elements only, per weight of
+    a (_orbit_table).  Many non-representations still fail here with
+    NonIntegerMultiplicity, but not all of them need to.
     """
     alg = m.alg
     table, weights, _ = _orbit_table(alg, m.element_action(alg.central).rows)
     actions = [m.element_action(g).rows for g, _ in table]
-    return alg.multiplicities(_class_traces(
-        alg, table, _diagonal_traces(alg.field_order, actions, range(m.dim), weights)))
+    return alg.multiplicities(
+        table, _diagonal_traces(alg, table, actions, range(m.dim), weights))
 
 
 def decompose(m: ExplicitModule) -> DecompResult:
@@ -162,6 +172,8 @@ def decompose(m: ExplicitModule) -> DecompResult:
             for _ in range(alg.s - 1):
                 rows = sp_matmul(rows, x_rows)
             big_x.append((support, rows))
+    # the whole module's multiplicities: I_0 for c = 0, and the cross-check
+    direct = isotypic_multiplicities(m)
 
     labels: Counter = Counter()
     eigenvalues = []
@@ -171,13 +183,14 @@ def decompose(m: ExplicitModule) -> DecompResult:
             break
         if c:
             found = alg.s * sum(
-                _count_strings(alg, labels, c, support, rows, actions, table, weights)
+                _count_strings(alg, labels, c, support, rows, actions, table, weights,
+                               direct)
                 for support, rows in big_x)
             if found:
                 eigenvalues.append(c)
         else:
             found = _count_strings(alg, labels, c, range(dim), x_rows, actions, table,
-                                   weights)
+                                   weights, direct)
         covered += found
 
     if covered != dim:
@@ -193,7 +206,6 @@ def decompose(m: ExplicitModule) -> DecompResult:
         else:
             for j in range(alg.s):
                 check[alg.sigma_power(lab.i, j)] += mult * lab.t
-    direct = isotypic_multiplicities(m)
     if dict(check) != direct:
         raise InternalInconsistency(
             f"isotypic content of the labels {dict(check)} "
@@ -211,53 +223,48 @@ def _orbit_table(alg: AlgebraData, a_rows):
     of each basis vector, and the first row of a off the diagonal.
 
     When a acts diagonally, table is AlgebraData.central_orbits, weights is
-    a's diagonal and off is None.  Otherwise every class is its own orbit,
-    taken at its representative with e = 0, and every weight is 1, so the
-    same sums give the traces at the representatives themselves.
+    a's diagonal and off is None.  Otherwise table is
+    AlgebraData.class_table, every class its own orbit taken at its
+    representative with e = 0, and every weight is 1, so the parts are the
+    traces at the representatives themselves.
     """
     off = next((k for k, row in enumerate(a_rows) if len(row) != 1 or k not in row),
                None)
     if off is None:
         return alg.central_orbits, [row[k] for k, row in enumerate(a_rows)], None
-    table = tuple((g, ((k, 0),)) for k, (g, _) in enumerate(alg.group.classes))
-    return table, [alg.one()] * len(a_rows), off
+    return alg.class_table, [alg.one()] * len(a_rows), off
 
 
-def _diagonal_traces(order: int, actions, support, weights) -> list:
-    """Per action, {mu: t_mu(g)} on the span of the basis vectors in
-    support: the sum of its diagonal over those of weight mu."""
+def _diagonal_traces(alg: AlgebraData, table, actions, support, weights) -> list:
+    """Per orbit of table, {mu: t_mu(g)} on the span of the basis vectors in
+    support: the sum of g's diagonal over those of weight mu, and at the
+    identity their number."""
+    order, identity = alg.field_order, alg.group.identity
     spaces = {}
     for k in support:
         spaces.setdefault(weights[k], []).append(k)
-    return [{mu: Cyclotomic.sum(order, [rows[k][k] for k in ks if k in rows[k]])
+    return [{mu: Cyclotomic.rational(order, len(ks)) for mu, ks in spaces.items()}
+            if g == identity else
+            {mu: Cyclotomic.sum(order, [rows[k][k] for k in ks if k in rows[k]])
              for mu, ks in spaces.items()}
-            for rows in actions]
+            for (g, _), rows in zip(table, actions)]
 
 
-def _weight_traces(order: int, actions, basis, weights) -> list:
-    """Per action, {mu: t_mu(g)} on the a-stable subspace with sp_rref
-    basis `basis`: the trace over the basis vectors whose pivot has weight
-    mu, each of which lies in that weight space."""
+def _weight_traces(alg: AlgebraData, table, actions, basis, weights) -> list:
+    """Per orbit of table, {mu: t_mu(g)} on the a-stable subspace with
+    sp_rref basis `basis`: the trace of g over the basis vectors whose
+    pivot has weight mu, each of which lies in that weight space, and at
+    the identity their number."""
+    order, identity = alg.field_order, alg.group.identity
     groups = {}
     for vec, p in zip(*basis):
         vecs, pivots = groups.setdefault(weights[p], ([], []))
         vecs.append(vec)
         pivots.append(p)
-    return [{mu: sp_trace_restrict(order, rows, sub) for mu, sub in groups.items()}
-            for rows in actions]
-
-
-def _class_traces(alg: AlgebraData, table, parts) -> list:
-    """Traces at the class representatives, in group.classes order, from
-    parts[o] = {mu: t_mu(g)} at the element g of orbit o: the class of
-    g a^e has trace sum over mu of mu^e t_mu(g)."""
-    order = alg.field_order
-    out = [None] * len(alg.group.classes)
-    for (_, members), by_weight in zip(table, parts):
-        for k, e in members:
-            terms = [mu ** e * t for mu, t in by_weight.items()]
-            out[k] = terms[0] if len(terms) == 1 else Cyclotomic.sum(order, terms)
-    return out
+    return [{mu: Cyclotomic.rational(order, len(sub[1])) for mu, sub in groups.items()}
+            if g == identity else
+            {mu: sp_trace_restrict(order, rows, sub) for mu, sub in groups.items()}
+            for (g, _), rows in zip(table, actions)]
 
 
 def _weight_spaces(alg: AlgebraData, weights) -> list:
@@ -278,25 +285,38 @@ def _weight_spaces(alg: AlgebraData, weights) -> list:
     return out
 
 
+def _kernel_multiplicities(alg: AlgebraData, c, image: dict, below: dict) -> dict:
+    """The multiplicities of K_j = ker N in I_j, from those of I_j (image)
+    and of I_{j+1} = N(I_j) (below), checked in simples order.
+
+    N maps I_j onto I_{j+1} with kernel K_j.  X = x^s commutes with the
+    group, so for c != 0, I_j / K_j is I_{j+1}.  For c = 0, x g =
+    chi^{-1}(g) g x, so I_j / K_j is I_{j+1} twisted by chi^{-1}: as
+    sigma(l) labels chi (.) V_l, K_j holds V_l image[l] - below[sigma(l)]
+    times.  A negative count means the module is no representation.
+    """
+    out = {}
+    for i in alg.labels:
+        mult = image.get(i, 0) - below.get(i if c else alg.sigma[i], 0)
+        if mult < 0:
+            raise NonIntegerMultiplicity(f"isotypic multiplicity of {i!r} came out {mult}")
+        if mult:
+            out[i] = mult
+    return out
+
+
 def _count_strings(alg: AlgebraData, labels: Counter, c, support, rows, actions,
-                   table, weights) -> int:
+                   table, weights, whole) -> int:
     """Count the strings of eigenvalue c on the span U of the basis vectors
     in support, from the image chain of N = rows - c; returns the dimension
     of the generalized eigenspace of c in U.
 
-    rows are the rows at support of x (c = 0, U the whole module) or of
-    X = x^s (c != 0, U one weight space).  actions are the group's actions
-    (row lists) at the elements of the orbit table, and weights the
-    a-weight of each basis vector (_orbit_table).
+    rows are the rows at support of x (c = 0, U the whole module, whose
+    multiplicities are whole) or of X = x^s (c != 0, U one weight space).
+    actions are the group's actions (row lists) at the elements of the
+    orbit table, and weights the a-weight of each basis vector
+    (_orbit_table).
     """
-    order = alg.field_order
-    classes = alg.group.classes
-    if c:
-        twists = [alg.one()] * len(classes)
-    else:
-        # x g = chi^{-1}(g) g x
-        twists = [alg.chi[alg.group.inverse[g]] for g, _ in classes]
-
     # N's columns; a basis (as rows) times them is N applied to each vector
     columns = {k: {} for k in support}
     for i, row in zip(support, rows):
@@ -321,15 +341,19 @@ def _count_strings(alg: AlgebraData, labels: Counter, c, support, rows, actions,
     rank = len(columns)
     if len(below[0]) == rank:
         return 0  # N is invertible on U: c is not an eigenvalue of x^s there
-    # I_0 is U, spanned by basis vectors
-    traces = _class_traces(alg, table, _diagonal_traces(order, actions, support, weights))
+    # the multiplicities of I_0: the whole module's for c = 0, else those
+    # of the weight space U, spanned by basis vectors
+    if c:
+        image = alg.multiplicities(
+            table, _diagonal_traces(alg, table, actions, support, weights))
+    else:
+        image = whole
     mus = []  # mus[j] = isotypic multiplicities inside K_j
     while len(below[0]) < rank:
-        below_traces = _class_traces(alg, table, _weight_traces(order, actions, below,
-                                                                weights))
-        mus.append(alg.multiplicities([
-            t - w * u for t, w, u in zip(traces, twists, below_traces)]))
-        rank, traces = len(below[0]), below_traces
+        below_image = alg.multiplicities(
+            table, _weight_traces(alg, table, actions, below, weights))
+        mus.append(_kernel_multiplicities(alg, c, image, below_image))
+        rank, image = len(below[0]), below_image
         below = sp_rref(sp_matmul(below[0], columns), dim)
     mus.append({})
 

@@ -7,36 +7,49 @@ of simple kG-modules with exact matrices, and derived tables (the twist
 permutation sigma, central scalars omega, fusion coefficients).  All
 scalars live in one cyclotomic field fixed per algebra.
 
-Characters of representations are class functions, so character sums run
-over the conjugacy classes (GroupData.classes), one representative each,
-weighted by the class size.  AlgebraData.multiplicities is the one inner
-product of a class function with the simple characters, and the one place
-that insists the result be a nonnegative integer.  Both routes read kG
-through it: the fusion coefficients N_ij^l are the multiplicities of a
-product character, and decompose counts strings from the multiplicities
-of traces on a module.  At build time every simple's own character must
-come out as exactly itself, which certifies the simples and the method at
-once.
+Characters of representations are class functions, and
+AlgebraData.multiplicities is the one inner product of a class function
+with the simple characters, and the one place that insists the result be
+a nonnegative integer.  Both routes read kG through it: the fusion
+coefficients N_ij^l are the multiplicities of a product character, and
+decompose counts strings from the multiplicities of its modules' images.
+At build time every simple's own character must come out as exactly
+itself, which certifies the simples and the method at once.
 
-The inner product is a fixed rational linear form on the power-basis
-coordinates of the class values (Serre, Linear Representations of Finite
-Groups, 2.3), so it is stored once per algebra as integers
-(AlgebraData.char_form over AlgebraData.char_den).  The form is built only
-once every simple has been checked to be a homomorphism, since only then
-are the simple characters class functions.  It is evaluated for every
-simple and coordinate at once by Kronecker substitution: each column of
-char_form, one entry per (simple, coordinate), is packed into one integer
-with W-bit slots, so a class function costs one big-integer product per
-nonzero numerator, and the slots are read back as signed integers.  W is
-chosen from the inputs so that no slot can reach 2^(W-1), which makes the
-read-back exact; see AlgebraData.multiplicities.
+A class function reaches multiplicities as per-orbit, per-weight parts
+over an orbit table: orbit o has an element g_o and members (k, e), and
+its part {mu: t_mu} stands for the value sum over mu of mu^e t_mu at each
+class k among the members (see central_orbits below).  Class-valued
+callers (the build's self-certification, and decompose when a is not
+diagonal) use AlgebraData.class_table, where every class is its own
+orbit with e = 0 and the one weight 1.  The fusion table reads product
+characters over central_orbits, as a acts on V_i (.) V_j by the scalar
+omega_i omega_j.  The inner product is a fixed rational
+linear form on the power-basis coordinates of the class values (Serre,
+Linear Representations of Finite Groups, 2.3), stored once per algebra
+as integers (AlgebraData.char_form over AlgebraData.char_den).  The form
+is built only once every simple has been checked to be a homomorphism,
+since only then are the simple characters class functions.  It is
+evaluated for every simple and coordinate at once by Kronecker
+substitution: each column of char_form, one entry per (simple,
+coordinate), is packed into one integer P with W-bit slots.  Coordinate j
+of t_mu at orbit o then meets the composite column sum over members (k, e)
+and j' of [mu^e zeta^j]_j' P[k d + j'], an integer combination of packed
+columns, since a root of unity has integer power-basis coordinates (a
+weight that is none, which only a module that is no representation has,
+puts its coefficients over one denominator).  The coefficients are found
+once per (members, mu) and the combination once per width, so a class
+function costs one big-integer product per nonzero numerator of its
+parts, and the slots are read back as signed integers.
+W is chosen from the inputs so that no slot can reach 2^(W-1), which
+makes the read-back exact; see AlgebraData.multiplicities.
 
 Since a is central, multiplying by its powers permutes the conjugacy
 classes.  AlgebraData.central_orbits lists the orbits of that action, each
 with one element g (the identity or a generator when the orbit holds one)
 and, per class, an exponent e with g a^e in the class, so that decompose
-takes the group's action at g alone and scales its traces by the weights
-of a.
+takes the group's action at g alone and hands its traces over, per
+weight of a, as parts over that table.
 
 Element matrices come from one breadth-first pass over the group
 (element_matrices): each element's matrix is its parent's times one
@@ -49,6 +62,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import chain, compress
 from math import lcm
 from operator import mul
 
@@ -216,6 +230,15 @@ def element_matrices(group: GroupData, gen_mats, field_order: int, dim: int):
     return [mats[g] for g in range(group.size)], sorted(violations)
 
 
+def _combine(form, width: int, columns) -> tuple:
+    """The columns of a composite form (AlgebraData._form) at slot width
+    `width`: per column, its integer combination of the packed columns of
+    char_form at that width, kept in the form."""
+    out = form[3][width] = tuple(sum(c * columns[i] for i, c in column)
+                                 for column in form[2])
+    return out
+
+
 def _central_orbits(group: GroupData, central: int):
     """The orbits of the conjugacy classes under multiplication by the
     powers of the central element a, as (g, ((class index, e), ...)) with
@@ -252,8 +275,8 @@ class AlgebraData:
         "group", "field_order", "central", "chi", "q", "s", "fusion_ready",
         "simples", "labels", "label_index", "simple_by_label", "sigma",
         "omega", "orbits", "orbit_rep", "orbit_reps", "fusion",
-        "char_form", "char_den", "central_orbits", "kind", "descriptor", "_omega_s",
-        "_hash", "_form_bits", "_packs",
+        "char_form", "char_den", "central_orbits", "class_table", "kind", "descriptor",
+        "_omega_s", "_hash", "_form_bits", "_forms", "_packs",
     )
 
     def __init__(self, group, simples, central, chi, field_order, kind, descriptor):
@@ -268,6 +291,8 @@ class AlgebraData:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "label_index", {l: k for k, l in enumerate(labels)})
         object.__setattr__(self, "simple_by_label", {s.label: s for s in self.simples})
+        object.__setattr__(self, "class_table", tuple(
+            (g, ((k, 0),)) for k, (g, _) in enumerate(group.classes)))
         self._validate_core()
         q = self.chi[central]
         if q == 1:
@@ -279,8 +304,8 @@ class AlgebraData:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "fusion_ready", q.multiplicative_order() == s)
         self._build_sigma_omega()
-        self._build_fusion()
         object.__setattr__(self, "central_orbits", _central_orbits(group, central))
+        self._build_fusion()
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -319,7 +344,9 @@ class AlgebraData:
                     f"simple {s.label!r}: matrices violate the group table")
         self._build_char_form()
         # each simple's character must come out exactly as itself
-        found = [self.multiplicities([s.char[g] for g, _ in group.classes])
+        one = Cyclotomic.one(self.field_order)
+        found = [self.multiplicities(self.class_table,
+                                     [{one: s.char[g]} for g, _ in group.classes])
                  for s in self.simples]
         for s, mult in zip(self.simples, found):
             if mult.get(s.label) != 1:
@@ -354,7 +381,41 @@ class AlgebraData:
         object.__setattr__(self, "char_form", form)
         object.__setattr__(self, "_form_bits", max(
             abs(v) for rows in form for row in rows for v in row).bit_length())
+        object.__setattr__(self, "_forms", {})
         object.__setattr__(self, "_packs", {})
+
+    def _form(self, members, mu):
+        """(den, bits, columns, packed) for the weight mu on an orbit's
+        members, found once per (members, mu) and kept in _forms.
+
+        Column j lists (k * d + j', c) with c / den = [mu^e zeta^j]_j'
+        for each member (k, e): the coefficients of the packed columns of
+        char_form that coordinate j of t_mu meets.  den is 1 when mu is a
+        root of unity.  bits bounds the l1 norm of every column by 2^bits.
+        packed caches, per slot width, each column's combination of packed
+        columns (_packed_columns).
+        """
+        order, d = self.field_order, len(self.char_form[0])
+        powers = [Cyclotomic.one(order)]
+        for _ in range(max(e for _, e in members)):
+            powers.append(powers[-1] * mu)
+        values = [[(k * d, powers[e] * Cyclotomic.zeta(order, j)) for k, e in members]
+                  for j in range(d)]
+        den = lcm(*[v.den for column in values for _, v in column])
+        columns, l1 = [], 1
+        for column in values:
+            coefficients, norm = [], 0
+            for start, v in column:
+                f = den // v.den
+                for i, a in enumerate(v.num):
+                    if a:
+                        coefficients.append((start + i, a * f))
+                        norm += abs(a * f)
+            columns.append(tuple(coefficients))
+            l1 = max(l1, norm)
+        form = self._forms[members, mu.num, mu.den] = (
+            den, (l1 - 1).bit_length(), tuple(columns), {})
+        return form
 
     def _packed_columns(self, width: int):
         """(columns, bias) for slots of `width` bits, cached per width.
@@ -373,43 +434,54 @@ class AlgebraData:
             packed = self._packs[width] = (columns, bias)
         return packed
 
-    def multiplicities(self, traces) -> dict:
-        """{label: <a, chi_label>} for the class function a given by its
-        values at the class representatives (group.classes order); zeros
-        are dropped.
+    def multiplicities(self, table, parts) -> dict:
+        """{label: <a, chi_label>} for the class function a given by
+        per-orbit, per-weight parts over an orbit table (central_orbits or
+        class_table): parts[o] = {mu: t_mu} at orbit o, whose members
+        (k, e) have a = sum over mu of mu^e t_mu at class k.  Zeros are
+        dropped.
 
         Each value is (1/|G|) sum over g of a(g) chi_label(g^{-1}): the
-        values are put over one denominator D, and their nonzero numerators
-        are dotted with the label's rows of char_form.  It is a nonnegative
-        integer, coordinate 0 a multiple of D * char_den and every other
-        coordinate 0, whenever a is the character of a representation;
-        anything else raises NonIntegerMultiplicity.
+        parts are put over one denominator D, and their nonzero numerators
+        are dotted with the composite columns of their (members, mu)
+        (_form).  It is a nonnegative integer, coordinate 0 a multiple of
+        D * char_den and every other coordinate 0, whenever a is the
+        character of a representation; anything else raises
+        NonIntegerMultiplicity.
 
         All the dot products are taken at once: the numerators multiply the
-        packed columns of char_form (_packed_columns), one big-integer
-        product each, and the sum holds every dot product in its own slot.
-        A dot product of n numerators is below n * max|numerator| *
-        max|form entry| < 2^(width - 2) in absolute value, so with the bias
-        every slot lies in [0, 2^width): the sum's base-2^width digits are
-        the biased dot products, read back with no carry between slots.
+        packed composite columns, one big-integer product each, and the sum
+        holds every dot product in its own slot.  A composite column's slot
+        is at most 2^bits * max|form entry| in absolute value, so a dot
+        product of n numerators is below n * max|numerator| * 2^bits *
+        max|form entry| < 2^(width - 2), and with the bias every slot lies
+        in [0, 2^width): the sum's base-2^width digits are the biased dot
+        products, read back with no carry between slots.
         """
-        den = lcm(*(t.den for t in traces))
-        keys, nums = [], []
-        k = 0
-        for t in traces:
-            f = den // t.den
-            for a in t.num:
-                if a:
-                    keys.append(k)
-                    nums.append(a * f)
-                k += 1
-        need = (max(map(abs, nums), default=0).bit_length() + self._form_bits
-                + len(nums).bit_length() + 2)
+        forms = self._forms
+        terms, nums = [], []
+        den, bits = 1, 0
+        for (_, members), by_weight in zip(table, parts):
+            for mu, t in by_weight.items():
+                form = forms.get((members, mu.num, mu.den)) or self._form(members, mu)
+                terms.append((form, t))
+                nums += t.num
+                if t.den != 1 or form[0] != 1:
+                    den = lcm(den, t.den * form[0])
+                if form[1] > bits:
+                    bits = form[1]
+        if den != 1:
+            nums = [a * (den // (t.den * form[0])) for form, t in terms for a in t.num]
+        nonzero = list(compress(nums, nums))
+        need = (max(map(abs, nonzero), default=0).bit_length() + self._form_bits
+                + bits + len(nonzero).bit_length() + 2)
         width = 32
         while width < need:
             width *= 2
         columns, bias = self._packed_columns(width)
-        total = sum(map(mul, nums, map(columns.__getitem__, keys)), bias)
+        packed = list(chain.from_iterable(
+            [form[3].get(width) or _combine(form, width, columns) for form, _ in terms]))
+        total = sum(map(mul, nonzero, compress(packed, nums)), bias)
         # the d slots of a simple: coordinate 0, then d - 1 that must be 0,
         # that is, hold the bias alone
         d = len(self.char_form[0])
@@ -474,11 +546,17 @@ class AlgebraData:
         object.__setattr__(self, "orbit_reps", tuple(orbit[0] for orbit in orbits))
 
     def _build_fusion(self):
+        """N_ij^l as the multiplicities of chi_i chi_j, read per orbit and
+        weight: a acts on V_i (.) V_j by omega_i omega_j, so its parts over
+        central_orbits are {omega_i omega_j: chi_i(g) chi_j(g)}."""
         table = {}
-        at_reps = [[s.char[g] for g, _ in self.group.classes] for s in self.simples]
-        for si, ai in zip(self.simples, at_reps):
-            for sj, aj in zip(self.simples, at_reps):
-                out = Counter(self.multiplicities([a * b for a, b in zip(ai, aj)]))
+        at_reps = [(self.omega[s.label], [s.char[g] for g, _ in self.central_orbits])
+                   for s in self.simples]
+        for si, (wi, ai) in zip(self.simples, at_reps):
+            for sj, (wj, aj) in zip(self.simples, at_reps):
+                w = wi * wj
+                out = Counter(self.multiplicities(
+                    self.central_orbits, [{w: a * b} for a, b in zip(ai, aj)]))
                 dim = sum(self.simple_by_label[l].dim * k for l, k in out.items())
                 if dim != si.dim * sj.dim:
                     raise InternalInconsistency("fusion table loses dimension")

@@ -91,6 +91,35 @@ def reference_multiplicities(alg, traces):
     return out
 
 
+def class_parts(alg, values):
+    """Parts over alg.class_table for a class function given by its values
+    at the class representatives."""
+    return [{alg.one(): v} for v in values]
+
+
+def class_traces(alg, table, parts):
+    """The values at the class representatives (group.classes order) of the
+    class function that per-orbit, per-weight parts over an orbit table
+    stand for: a class holding g a^e, g the element of orbit o, has the
+    value sum over mu of mu^e parts[o][mu], each power taken by
+    Cyclotomic.__pow__."""
+    out = [None] * len(alg.group.classes)
+    for (_, members), by_weight in zip(table, parts):
+        for k, e in members:
+            out[k] = sum((mu ** e * t for mu, t in by_weight.items()), alg.zero())
+    return out
+
+
+def kernel_class_traces(alg, c, traces, below):
+    """Traces at the class representatives of K_j = ker N in I_j, from the
+    traces of I_j and of I_{j+1} = N(I_j): trace(I_j) - twist * trace(I_{j+1}),
+    where N = x twists the group action by chi^{-1} (x g = chi^{-1}(g) g x)
+    and N = x^s - c, c != 0, commutes with it."""
+    group = alg.group
+    twists = [alg.one() if c else alg.chi[group.inverse[g]] for g, _ in group.classes]
+    return [t - w * u for t, w, u in zip(traces, twists, below)]
+
+
 def direct_sum(m, n):
     """Block-diagonal sum of two modules over one algebra; its provenance
     is the union of theirs."""

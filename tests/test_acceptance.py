@@ -5,7 +5,8 @@ Each test here is one acceptance gate; together they cover the full label
 grids at m = 3, 5 and 7 (the m = 7 grid is 70 labels, 4900 ordered
 pairs), seeded samples of the m = 9 and m = 15 grids, seeded samples of
 the m = 3 grid with long strings (Nil t up to 6 with Eig t up to 3, and
-with Eig t up to 8), the full C_8 grid with the nontrivial eigenvalue
+with Eig t up to 8) and of the m = 5 grid with Nil t up to 6 and Eig t up
+to 3, the full C_8 grid with the nontrivial eigenvalue
 twist, seeded samples of the S_3 x C_4 and A_4 x C_3 grids, seeded samples
 of the C_8, S_3 x C_4 and A_4 x C_3 grids with Eig t up to 3, a
 hypothesis-drawn pair on a drawn fixture algebra, the power-basis
@@ -118,6 +119,17 @@ def test_differential_fusion_grid_m3_long_eigen_strings(alg3):
     labels = grid_labels(alg3, 6, 8, BETAS)
     assert len(labels) == 132
     mismatches = _sample_mismatches(alg3, labels, 300, 20261026)
+    assert mismatches == [], mismatches[:3]
+
+
+def test_differential_fusion_grid_m5_long_sample(alg5):
+    """Closed rules equal the matrix oracle on 600 seeded ordered pairs of
+    the m = 5 grid with long strings: Nil t up to 6, Eig t up to 3, betas
+    1, -1, 2, 1/2: 96 labels, products of dimension up to 144."""
+    labels = grid_labels(alg5, 6, 3, BETAS)
+    assert len(labels) == 96
+    assert max(label_dim(alg5, lab) for lab in labels) ** 2 == 144
+    mismatches = _sample_mismatches(alg5, labels, 600, 20261104)
     assert mismatches == [], mismatches[:3]
 
 

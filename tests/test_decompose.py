@@ -9,18 +9,22 @@ from hypothesis import strategies as st
 
 from hopfore.cyclotomic import Cyclotomic, Rational
 from hopfore.decompose import (
-    _class_traces, _diagonal_traces, _orbit_table, _weight_traces, decompose,
+    _diagonal_traces, _kernel_multiplicities, _orbit_table, _weight_traces, decompose,
     isotypic_multiplicities,
 )
 from hopfore.errors import (
     CandidatePoolIncomplete, InvalidParameter, NonIntegerMultiplicity, NotFusionReady,
 )
 from hopfore.grid import build_module, check_pair, grid_labels
+from hopfore.groups import AlgebraData, dihedral_algebra
 from hopfore.labels import EIG, NIL, IndecLabel, canonicalize
 from hopfore.linalg import Matrix, sp_rref, sp_trace_restrict
 from hopfore.modules import ExplicitModule, module_eigen, module_nilpotent, tensor, validate
 
-from conftest import direct_sum, mat_power, word_products
+from conftest import (
+    class_traces, direct_sum, kernel_class_traces, mat_power, reference_multiplicities,
+    word_products,
+)
 
 
 def test_isotypic_examples(alg3):
@@ -323,14 +327,19 @@ def test_not_fusion_ready_module_builds_but_does_not_decompose(c8_unready):
 
 
 def _image_chains(mod):
-    """sp_rref bases of the images of the powers of x, and of x^s - c for
-    each nonzero c in the provenance: submodules on which a acts."""
+    """(c, chain) for x (c = 0) and for x^s - c with each nonzero c in the
+    provenance: chain holds sp_rref bases of the whole module and of the
+    images of the operator's first powers, up to three, each a submodule
+    on which a acts and the operator's image of the one before."""
     alg = mod.alg
     x_s = mat_power(mod.x_action, alg.s)
-    ops = [mod.x_action] + [
-        x_s + Matrix.scalar(alg.field_order, mod.dim, -c) for c in mod.provenance if c]
+    ops = [(alg.zero(), mod.x_action)] + [
+        (c, x_s + Matrix.scalar(alg.field_order, mod.dim, -c))
+        for c in mod.provenance if c]
+    whole = ([{k: alg.one()} for k in range(mod.dim)], list(range(mod.dim)))
     out = []
-    for op in ops:
+    for c, op in ops:
+        chain = [whole]
         power = op
         for _ in range(3):
             cols = [{i: row[j] for i, row in enumerate(power.rows) if j in row}
@@ -338,20 +347,24 @@ def _image_chains(mod):
             basis = sp_rref(cols, mod.dim)
             if not basis[0]:
                 break
-            out.append(basis)
+            chain.append(basis)
             power = power @ op
+        out.append((c, chain))
     return out
 
 
 @pytest.mark.parametrize("fixture", ["alg3", "alg5", "alg7", "c8", "s3c4", "a4c3"])
 def test_orbit_traces_match_traces_at_every_class(fixture, request):
     # trace(g a^e | I) = sum over mu of mu^e t_mu(g), against the trace of
-    # each class representative's own matrix (its generator word) on I
+    # each class representative's own matrix (its generator word) on I, and
+    # multiplicities from the parts against the reference inner product of
+    # those class traces; the multiplicities of K_j from the images' own
+    # (sigma-relabelled for c = 0) against those of the K_j class traces
     alg = request.getfixturevalue(fixture)
     group, order = alg.group, alg.field_order
     labels = grid_labels(alg, 2, 1, (1, 2))
     picks = random.Random(20261103).sample([(l, r) for l in labels for r in labels], 6)
-    subspaces = 0
+    subspaces = kernels = 0
     for left, right in picks:
         mod = tensor(build_module(alg, left), build_module(alg, right))
         table, weights, off = _orbit_table(alg, mod.element_action(alg.central).rows)
@@ -359,21 +372,34 @@ def test_orbit_traces_match_traces_at_every_class(fixture, request):
         actions = [mod.element_action(g).rows for g, _ in table]
         words = word_products(group, mod.gen_actions, order, mod.dim)
         reps = [words[g] for g, _ in group.classes]
-        whole = _class_traces(alg, table, _diagonal_traces(order, actions, range(mod.dim),
-                                                           weights))
+        parts = _diagonal_traces(alg, table, actions, range(mod.dim), weights)
+        whole = class_traces(alg, table, parts)
         assert whole == [r.trace() for r in reps], (left, right)
-        assert isotypic_multiplicities(mod) == alg.multiplicities(whole)
-        for basis in _image_chains(mod):
-            subspaces += 1
-            got = _class_traces(alg, table, _weight_traces(order, actions, basis, weights))
-            assert got == [sp_trace_restrict(order, r.rows, basis) for r in reps], (
-                left, right)
-    assert subspaces >= 6, subspaces
+        assert isotypic_multiplicities(mod) == alg.multiplicities(table, parts) == (
+            reference_multiplicities(alg, whole))
+        for c, chain in _image_chains(mod):
+            traces = image = None
+            for basis in chain:
+                subspaces += 1
+                parts = _weight_traces(alg, table, actions, basis, weights)
+                got = class_traces(alg, table, parts)
+                assert got == [sp_trace_restrict(order, r.rows, basis) for r in reps], (
+                    left, right)
+                mults = alg.multiplicities(table, parts)
+                assert mults == reference_multiplicities(alg, got), (left, right)
+                if traces is not None:
+                    kernels += 1
+                    assert _kernel_multiplicities(alg, c, image, mults) == (
+                        reference_multiplicities(
+                            alg, kernel_class_traces(alg, c, traces, got))), (
+                        left, right, c)
+                traces, image = got, mults
+    assert subspaces >= 12 and kernels >= 6, (subspaces, kernels)
 
 
 def test_orbit_traces_without_a_diagonal(alg3):
-    # a basis where a is not diagonal: every class is its own orbit at its
-    # representative, and the same sums give the same traces
+    # a basis where a is not diagonal: the class table, every class its own
+    # orbit at its representative, and the same sums give the same traces
     nil = module_nilpotent(alg3, 2, 1)
     n = alg3.field_order
     sheared = _conjugate(nil, Matrix(n, [[1, 0, 1, 0], [0, 1, 0, 0],
@@ -381,11 +407,12 @@ def test_orbit_traces_without_a_diagonal(alg3):
                          Matrix(n, [[1, 0, -1, 0], [0, 1, 0, 0],
                                     [0, 0, 1, 0], [0, 0, 0, 1]]))
     table, weights, off = _orbit_table(alg3, sheared.element_action(alg3.central).rows)
-    assert off == 0
+    assert off == 0 and table is alg3.class_table
     assert [g for g, _ in table] == [g for g, _ in alg3.group.classes]
     assert all(len(members) == 1 and members[0][1] == 0 for _, members in table)
     actions = [sheared.element_action(g).rows for g, _ in table]
-    traces = _class_traces(alg3, table, _diagonal_traces(n, actions, range(4), weights))
+    traces = class_traces(alg3, table, _diagonal_traces(alg3, table, actions, range(4),
+                                                        weights))
     assert traces == [sheared.element_action(g).trace() for g, _ in alg3.group.classes]
     assert isotypic_multiplicities(sheared) == isotypic_multiplicities(nil)
 
@@ -412,3 +439,85 @@ def test_group_actions_at_orbit_elements_only(alg5, monkeypatch):
     monkeypatch.undo()
     assert got.counter() == decompose(tensor(left, right)).counter()
     assert got.total_dim == prod.dim
+
+
+def test_decompose_takes_no_class_trace_and_the_whole_module_once(alg5, monkeypatch):
+    # V[3](1) x V[3](1) at m = 5 (c = 0 only): no power of a field element
+    # (no class traces), one sum over the whole module's diagonals, whose
+    # multiplicities serve as I_0 and for the cross-check, and no trace
+    # reads the identity's rows: its traces are counts, so the same labels
+    # come out with the identity's cached action zeroed
+    left = module_nilpotent(alg5, 3, 1)
+    want = decompose(tensor(left, left)).counter()
+    prod = tensor(left, left)
+    identity = alg5.group.identity
+    zeroed = Matrix.from_rows(alg5.field_order, [{}] * prod.dim, prod.dim)
+    prod._element_cache[identity] = zeroed
+    powers, whole, restricted = [], [], []
+    decompose_module = sys.modules["hopfore.decompose"]
+    power, diagonal, trace = (Cyclotomic.__pow__, decompose_module._diagonal_traces,
+                              decompose_module.sp_trace_restrict)
+
+    def counting_power(self, exponent):
+        powers.append(exponent)
+        return power(self, exponent)
+
+    def counting_diagonal(alg, table, actions, support, weights):
+        if len(support) == prod.dim:
+            whole.append(len(support))
+        return diagonal(alg, table, actions, support, weights)
+
+    def recording_trace(order, rows, basis):
+        restricted.append(rows is zeroed.rows)
+        return trace(order, rows, basis)
+
+    monkeypatch.setattr(Cyclotomic, "__pow__", counting_power)
+    monkeypatch.setattr(decompose_module, "_diagonal_traces", counting_diagonal)
+    monkeypatch.setattr(decompose_module, "sp_trace_restrict", recording_trace)
+    got = decompose(prod).counter()
+    monkeypatch.undo()
+    assert got == want
+    assert powers == []
+    assert len(whole) == 1
+    assert restricted and not any(restricted)
+
+
+def test_negative_kernel_count_is_refused(alg3):
+    # two copies of eps with x e_1 = e_0 is no representation (x g =
+    # chi^{-1}(g) g x fails at the reflections): the image of x is eps, so
+    # K_0 = ker x would hold chi -1 times, which the class-level trace of
+    # K_0 reports the same way
+    n = alg3.field_order
+    one = Matrix.identity(n, 2)
+    bad = ExplicitModule(alg3, [one, one], Matrix(n, [[0, 1], [0, 0]]), ())
+    assert validate(bad) != []
+    with pytest.raises(NonIntegerMultiplicity) as err:
+        decompose(bad)
+    assert str(err.value) == "isotypic multiplicity of 'chi' came out -1"
+
+
+def test_composite_forms_one_per_orbit_and_weight_in_use(monkeypatch):
+    # a fresh m = 5 algebra through a small grid: after every pair, each
+    # composite form is one (members, weight) that multiplicities was given,
+    # and there are at most the class table's and two weights (a acts by
+    # +-1) per central orbit
+    used = set()
+    multiplicities = AlgebraData.multiplicities
+
+    def recording(self, table, parts):
+        used.update((members, mu.num, mu.den)
+                    for (_, members), by_weight in zip(table, parts) for mu in by_weight)
+        return multiplicities(self, table, parts)
+
+    monkeypatch.setattr(AlgebraData, "multiplicities", recording)
+    alg = dihedral_algebra.__wrapped__(5)
+    assert set(alg._forms) == used
+    bound = len(alg.class_table) + 2 * len(alg.central_orbits)
+    labels = grid_labels(alg, 2, 1, (1, 2))
+    cache = {}
+    for left in labels:
+        for right in labels:
+            assert check_pair(alg, left, right, cache) is None
+            assert set(alg._forms) <= used and len(alg._forms) <= bound
+            assert all(len(form[3]) <= len(alg._packs) for form in alg._forms.values())
+    assert len(alg._forms) > len(alg.class_table)

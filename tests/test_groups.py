@@ -14,8 +14,8 @@ from hopfore.linalg import Matrix
 from hopfore.modules import ExplicitModule, module_nilpotent, tensor, validate
 
 from conftest import (
-    character_order, cyclic_algebra, reference_multiplicities, word_products,
-    word_violations,
+    character_order, class_parts, class_traces, cyclic_algebra, reference_multiplicities,
+    word_products, word_violations,
 )
 
 FIXTURES = ["alg3", "alg5", "alg7", "alg15", "c4", "c8", "s3c4", "a4c3"]
@@ -289,7 +289,8 @@ def test_multiplicities_of_character_combinations(name, request):
         coeffs = {s.label: rng.choice((0, 0, 1, 2, 7)) for s in alg.simples}
         values = [sum((coeffs[s.label] * s.char[g] for s in alg.simples), alg.zero())
                   for g in reps]
-        assert alg.multiplicities(values) == {l: c for l, c in coeffs.items() if c}
+        assert alg.multiplicities(alg.class_table, class_parts(alg, values)) == {
+            l: c for l, c in coeffs.items() if c}
         assert {s.label: _reference_inner(alg, s, values)
                 for s in alg.simples} == coeffs
 
@@ -297,7 +298,7 @@ def test_multiplicities_of_character_combinations(name, request):
 def test_multiplicities(c4, alg5):
     # the regular character of C_4 holds every simple once
     four, zero4, zero10 = Cyclotomic.rational(4, 4), c4.zero(), alg5.zero()
-    assert c4.multiplicities([four, zero4, zero4, zero4]) == {
+    assert c4.multiplicities(c4.class_table, class_parts(c4, [four, zero4, zero4, zero4])) == {
         "c0": 1, "c1": 1, "c2": 1, "c3": 1}
     # none of these is a character: each fails the guard with the value
     # that the in-test reference gives
@@ -319,22 +320,44 @@ def test_multiplicities(c4, alg5):
         shown = None if any(ref.num[1:]) else Rational(ref.num[0], ref.den)
         assert shown is None or shown < 0 or shown.denominator != 1
         with pytest.raises(NonIntegerMultiplicity) as err:
-            alg.multiplicities(values)
+            alg.multiplicities(alg.class_table, class_parts(alg, values))
         assert str(err.value) == f"isotypic multiplicity of {first.label!r} came out {shown}"
 
 
 def _same_as_reference(alg, values):
-    """multiplicities(values) and the reference agree: equal results, or
-    NonIntegerMultiplicity from both with the same message."""
+    """_parts_as_reference for a class function given by its values at the
+    class representatives, as parts over class_table."""
+    return _parts_as_reference(alg, alg.class_table, class_parts(alg, values))
+
+
+def _parts_as_reference(alg, table, parts):
+    """multiplicities(table, parts) and the reference on the class values
+    that the oracle class_traces gives for the parts agree: equal results,
+    or NonIntegerMultiplicity from both with the same message."""
     try:
-        want = reference_multiplicities(alg, values)
+        want = reference_multiplicities(alg, class_traces(alg, table, parts))
     except NonIntegerMultiplicity as e:
         with pytest.raises(NonIntegerMultiplicity) as err:
-            alg.multiplicities(values)
+            alg.multiplicities(table, parts)
         assert str(err.value) == str(e)
         return None
-    assert alg.multiplicities(values) == want
+    assert alg.multiplicities(table, parts) == want
     return want
+
+
+def _orbit_parts(alg, coeffs):
+    """Parts over central_orbits of the representation that holds the k-th
+    simple coeffs[k] times: a acts on V_s by omega_s, so t_mu(g) is the sum
+    of c_s chi_s(g) over the simples s of weight mu."""
+    parts = []
+    for g, _ in alg.central_orbits:
+        by_weight = {}
+        for s, c in zip(alg.simples, coeffs):
+            if c:
+                mu = alg.omega[s.label]
+                by_weight[mu] = by_weight.get(mu, alg.zero()) + c * s.char[g]
+        parts.append(by_weight)
+    return parts
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -342,16 +365,23 @@ def test_packed_multiplicities_match_reference(name, request):
     """The packed inner product equals the dot-product reference on the
     simple characters, the fusion products, seeded combinations with
     coefficients past 2^64 and 2^300 (the slot width grows), the zero class
-    function, and non-characters, which both refuse with one message."""
+    function, and non-characters, which both refuse with one message; and
+    so do the per-orbit, per-weight parts of the same combinations over
+    central_orbits, where the weights are the omega_s (zeta_8^k on c8), and
+    of non-characters made from them."""
     alg = request.getfixturevalue(name)
     reps = [g for g, _ in alg.group.classes]
     chars = [[s.char[g] for g in reps] for s in alg.simples]
+    table = alg.central_orbits
     for s, a in zip(alg.simples, chars):
         assert _same_as_reference(alg, a) == {s.label: 1}
+        unit = [int(t is s) for t in alg.simples]
+        assert _parts_as_reference(alg, table, _orbit_parts(alg, unit)) == {s.label: 1}
         for b in chars:
             assert _same_as_reference(alg, [u * v for u, v in zip(a, b)])
     zero = [alg.zero()] * len(reps)
     assert _same_as_reference(alg, zero) == {}
+    assert _parts_as_reference(alg, table, [{} for _ in table]) == {}
     rng = random.Random(20261023)
     for bits in (70, 310):
         for _ in range(3):
@@ -360,18 +390,43 @@ def test_packed_multiplicities_match_reference(name, request):
             coeffs[0] = 1 << bits
             values = [sum((c * a[k] for c, a in zip(coeffs, chars)), alg.zero())
                       for k in range(len(reps))]
-            assert _same_as_reference(alg, values) == {
-                s.label: c for s, c in zip(alg.simples, coeffs) if c}
+            want = {s.label: c for s, c in zip(alg.simples, coeffs) if c}
+            assert _same_as_reference(alg, values) == want
+            assert _parts_as_reference(alg, table, _orbit_parts(alg, coeffs)) == want
             # one negative coefficient is no character
             coeffs[rng.choice([j for j, c in enumerate(coeffs) if c])] *= -1
             values = [sum((c * a[k] for c, a in zip(coeffs, chars)), alg.zero())
                       for k in range(len(reps))]
             assert _same_as_reference(alg, values) is None
+            assert _parts_as_reference(alg, table, _orbit_parts(alg, coeffs)) is None
     assert max(alg._packs) >= 512
     w = Cyclotomic.zeta(alg.field_order)
     for shift in (Rational(1, 2), w, w / 3):
         for a in chars[:3]:
             assert _same_as_reference(alg, [v + shift for v in a]) is None
+        for k in range(min(3, len(alg.simples))):
+            parts = _orbit_parts(alg, [int(j == k) for j in range(len(alg.simples))])
+            shifted = [{mu: t + shift for mu, t in by_weight.items()} for by_weight in parts]
+            assert _parts_as_reference(alg, table, shifted) is None
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_packed_multiplicities_at_weights_off_the_unit_circle(name, request):
+    """Parts whose weight is no root of unity, as a module that is no
+    representation gives them, weigh the packed columns by large or
+    fractional powers mu^e: the packed inner product still equals the
+    reference, or refuses with its message, for numerators of every bit
+    length up to 130, so no slot width is too narrow for its columns."""
+    alg = request.getfixturevalue(name)
+    table = alg.central_orbits
+    w = Cyclotomic.zeta(alg.field_order)
+    for mu in (alg.scalar(1000), alg.scalar(Rational(1, 2)), 3 * w):
+        for bits in range(1, 131):
+            value = alg.scalar((1 << bits) - 1)
+            parts = [{mu: value}] + [{} for _ in table[1:]]
+            _parts_as_reference(alg, table, parts)
+            parts[0] = {mu: value, alg.one(): value}
+            _parts_as_reference(alg, table, parts)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
