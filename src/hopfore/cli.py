@@ -36,6 +36,8 @@ labels: errors.UsageError).
 The matrix route builds the tensor product of two modules, so `tensor
 --method matrix|both` and `verify fusion` refuse, with exit 2 and before
 any module is built, a product of dimension above MAX_TENSOR_DIM.
+`verify fusion` also refuses a grid of more than MAX_GRID_PAIRS ordered
+pairs.
 """
 
 import argparse
@@ -60,6 +62,9 @@ from .syntax import (
 # the dimension of A (x) B is dim A * dim B, while a label's own is bounded
 # by syntax.MAX_LABEL_DIM
 MAX_TENSOR_DIM = 1024
+# verify fusion runs both routes on every ordered pair of its grid; the
+# full m = 7 grid is 4900 pairs
+MAX_GRID_PAIRS = 10_000
 
 
 def _add_algebra_flags(p):
@@ -212,6 +217,10 @@ def cmd_verify_fusion(args):
     # grid labels do not pass through the parser's label limit
     _check_tensor_dim("the grid's largest tensor product",
                       max((label_dim(alg, lab) for lab in labels), default=0) ** 2)
+    pairs = len(labels) ** 2
+    if pairs > MAX_GRID_PAIRS:
+        raise InvalidParameter(
+            f"the grid has {pairs} ordered pairs, above the limit {MAX_GRID_PAIRS}")
     summary = run_grid(alg, labels)
     if args.json:
         print(json.dumps(summary, indent=2))

@@ -7,8 +7,8 @@ factor common to all of them (zero is 0/1), so arithmetic on integers,
 which most scalars of the theory are, runs on Python ints alone.  The
 inverse of an irrational element is the product of its Galois
 conjugates divided by its norm.  Exact rationals (`Rational`, which is
-fractions.Fraction) appear only at the edges: parsing, printing, ordering
-and hashing.  A product with an operand that is exactly 1 or -1 returns the
+fractions.Fraction) appear only at the edges: parsing, ordering and
+hashing.  A product with an operand that is exactly 1 or -1 returns the
 other operand or its negation, with no multiplication and no gcd: most
 products of the matrix oracle (group actions, pivots, Kronecker factors)
 are of that kind.  The others are mostly products of two roots of unity
@@ -160,6 +160,8 @@ class Cyclotomic:
 
     @staticmethod
     def rational(order: int, value) -> "Cyclotomic":
+        if type(value) is int:
+            return _const(order, value, 1)
         q = Rational(value)
         return _const(order, q.numerator, q.denominator)
 
@@ -363,24 +365,28 @@ class Cyclotomic:
     # -- printing ----------------------------------------------------------
 
     def to_literal(self) -> str:
-        """Canonical literal: descending powers of w, e.g. 'w^2 - 1/3'."""
-        coeffs = self.coeffs
+        """Canonical literal: descending powers of w, e.g. 'w^2 - 1/3'.
+
+        Coordinate k is num[k] / den over their gcd, printed as str() of
+        that Rational would print it, with no Rational built."""
+        num, den = self.num, self.den
         pieces = []
-        for k in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[k]
-            if not c:
+        for k in range(len(num) - 1, -1, -1):
+            a = num[k]
+            if not a:
                 continue
-            neg = c < 0
-            mag = -c if neg else c
+            g = gcd(a, den)
+            p, q = abs(a) // g, den // g
+            mag = str(p) if q == 1 else f"{p}/{q}"
             if k == 0:
-                body = str(mag)
+                body = mag
             else:
                 sym = "w" if k == 1 else f"w^{k}"
-                body = sym if mag == 1 else f"{mag}*{sym}"
+                body = sym if mag == "1" else f"{mag}*{sym}"
             if not pieces:
-                pieces.append(f"-{body}" if neg else body)
+                pieces.append(f"-{body}" if a < 0 else body)
             else:
-                pieces.append(f"- {body}" if neg else f"+ {body}")
+                pieces.append(f"- {body}" if a < 0 else f"+ {body}")
         return " ".join(pieces) if pieces else "0"
 
     def __repr__(self):

@@ -98,8 +98,7 @@ numerators over one denominator (Cyclotomic.sum).
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .cyclotomic import Cyclotomic
 from .errors import (
@@ -112,13 +111,11 @@ from .linalg import sp_matmul, sp_rref, sp_trace_restrict
 from .modules import ExplicitModule
 
 
-@dataclass(frozen=True)
-class DecompResult:
-    """Multiset of indecomposable labels plus bookkeeping."""
+class DecompResult(namedtuple("DecompResult", "multiset total_dim eigenvalues_found")):
+    """Multiset of indecomposable labels plus bookkeeping: multiset is
+    ((IndecLabel, multiplicity), ...) in canonical order."""
 
-    multiset: tuple  # ((IndecLabel, multiplicity), ...) in canonical order
-    total_dim: int
-    eigenvalues_found: tuple
+    __slots__ = ()
 
     def counter(self) -> Counter:
         return Counter(dict(self.multiset))

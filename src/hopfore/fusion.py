@@ -5,6 +5,14 @@ the multiset of summands is given by explicit index formulas.  These are
 implemented here symbolically; no module matrices are built.  The matrix
 route (modules.tensor followed by decompose.decompose) computes the same
 multiset independently, which is what the differential tests exploit.
+
+canonicalize validates only the two input labels.  Each summand is built
+as an IndecLabel from parts the rule has already checked: a constituent l
+of alg.fusion, its sigma powers or its orbit representative, a length the
+index formulas keep positive, and for Eig summands an eigenvalue known to
+be nonzero (an input's beta times a root of unity, or a sum under `if`).
+The summands' total dimension is still checked against the product of the
+inputs' dimensions.
 """
 
 from collections import Counter
@@ -15,6 +23,7 @@ from .labels import (
     FREE,
     NIL,
     TORSION,
+    IndecLabel,
     SimpleLabel,
     canonical_simple,
     canonicalize,
@@ -103,46 +112,53 @@ def _tensor_nil_nil(alg, left, right):
     if n < t:
         n, t = t, n
         i, j = j, i
+    terms = _nil_nil_terms(alg.s, n, t)
     out = Counter()
     for l, mult in alg.fusion[(i, j)].items():
-        for T, u in _nil_nil_terms(alg.s, n, t):
-            lab = canonicalize(alg, NIL, T, alg.sigma_power(l, u))
-            out[lab] += mult
+        for T, u in terms:
+            out[IndecLabel(NIL, T, alg.sigma_power(l, u))] += mult
     return out
 
 
 def _tensor_nil_eig(alg, nil, eig, twist):
     # twist is the scalar applied to the eigenvalue: 1 when the string
-    # factor sits on the left, omega_i^s when it sits on the right
+    # factor sits on the left, omega_i^s when it sits on the right; a root
+    # of unity, so beta stays nonzero
     s = alg.s
     u, r = divmod(nil.t, s)
     t = eig.t
     beta = eig.beta * twist
+    # lengths 2k - 1 + |t - u| for k = 1..min(t, u), then the same with
+    # u + 1 in place of u for the r leftover steps
     out = Counter()
     for l, mult in alg.fusion[(nil.i, eig.i)].items():
-        for m in range(1, min(t, u) + 1):
-            lab = canonicalize(alg, EIG, 2 * m - 1 + abs(t - u), l, beta)
-            out[lab] += mult * (s - r)
+        rep = alg.orbit_rep[l]
+        for T in range(abs(t - u) + 1, t + u, 2):
+            out[IndecLabel(EIG, T, rep, beta)] += mult * (s - r)
         if r:
-            for m in range(1, min(t, u + 1) + 1):
-                lab = canonicalize(alg, EIG, 2 * m - 1 + abs(t - u - 1), l, beta)
-                out[lab] += mult * r
+            for T in range(abs(t - u - 1) + 1, t + u + 1, 2):
+                out[IndecLabel(EIG, T, rep, beta)] += mult * r
     return out
 
 
 def _tensor_eig_eig(alg, left, right):
     p, t = left.t, right.t
+    s = alg.s
     value = alg.omega_s(right.i) * left.beta + right.beta
+    lengths = range(abs(p - t) + 1, p + t, 2)  # 2u - 1 + |p - t|, u <= min(p, t)
     out = Counter()
     for l, mult in alg.fusion[(left.i, right.i)].items():
-        for m in range(alg.s):
-            lm = alg.sigma_power(l, m)
-            for u in range(1, min(p, t) + 1):
-                if value:
-                    lab = canonicalize(alg, EIG, 2 * u - 1 + abs(p - t), lm, value)
-                else:
-                    lab = canonicalize(alg, NIL, alg.s * (2 * u - 1 + abs(p - t)), lm)
-                out[lab] += mult
+        if value:
+            # orbit_rep is constant on the sigma-orbit of l, so the s
+            # constituents sigma^m(l) give one label
+            rep = alg.orbit_rep[l]
+            for T in lengths:
+                out[IndecLabel(EIG, T, rep, value)] += s * mult
+        else:
+            for m in range(s):
+                lm = alg.sigma_power(l, m)
+                for T in lengths:
+                    out[IndecLabel(NIL, s * T, lm)] += mult
     return out
 
 

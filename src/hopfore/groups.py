@@ -396,6 +396,13 @@ class AlgebraData:
         columns (_packed_columns).
         """
         order, d = self.field_order, len(self.char_form[0])
+        if len(members) == 1 and members[0][1] == 0:
+            # one class at e = 0, as in class_table: mu^0 = 1, so column j
+            # is coordinate j of that class alone
+            start = members[0][0] * d
+            form = self._forms[members, mu.num, mu.den] = (
+                1, 0, tuple(((start + j, 1),) for j in range(d)), {})
+            return form
         powers = [Cyclotomic.one(order)]
         for _ in range(max(e for _, e in members)):
             powers.append(powers[-1] * mu)

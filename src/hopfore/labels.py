@@ -12,11 +12,8 @@ is the same module as Nil(t*s, i) and canonicalize performs that rewrite
 with the exact simple label (the identification is not orbit-invariant).
 """
 
-from __future__ import annotations
+from collections import namedtuple
 
-from dataclasses import dataclass
-
-from .cyclotomic import Cyclotomic
 from .errors import InvalidParameter, NotFusionReady, ZeroBeta
 from .groups import AlgebraData
 
@@ -26,23 +23,20 @@ TORSION = "torsion"
 FREE = "free"
 
 
-@dataclass(frozen=True, slots=True)
-class IndecLabel:
-    """Isomorphism class of an indecomposable module."""
+class IndecLabel(namedtuple("IndecLabel", "kind t i beta", defaults=(None,))):
+    """Isomorphism class of an indecomposable module: kind (NIL or EIG),
+    length t, simple label i, and beta, a nonzero Cyclotomic for EIG and
+    None for NIL.  A tuple, so it hashes as the tuple of its fields; it
+    never equals a SimpleLabel, which has three."""
 
-    kind: str
-    t: int
-    i: object
-    beta: Cyclotomic | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SimpleLabel:
-    """Isomorphism class of a simple module over the extended algebra."""
+class SimpleLabel(namedtuple("SimpleLabel", "kind i beta", defaults=(None,))):
+    """Isomorphism class of a simple module over the extended algebra:
+    kind (TORSION or FREE), simple label i, and beta (None for TORSION)."""
 
-    kind: str
-    i: object
-    beta: Cyclotomic | None = None
+    __slots__ = ()
 
 
 def canonicalize(alg: AlgebraData, kind: str, t: int, i, beta=None) -> IndecLabel:

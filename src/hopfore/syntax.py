@@ -28,7 +28,7 @@ has dimension at most MAX_LABEL_DIM, since both routes spend work that
 grows with a label's length.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add, mul, sub
 
 from .cyclotomic import Cyclotomic, Rational
@@ -46,11 +46,8 @@ MAX_SCALAR_BITS = 8192
 MAX_DIGITS = 2500
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # INT, NAME, one of _PUNCT, or END
-    text: str
-    pos: int
+# kind is INT, NAME, one of _PUNCT, or END
+Token = namedtuple("Token", "kind text pos")
 
 
 def _tokenize(src):

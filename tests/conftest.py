@@ -2,7 +2,10 @@
 
 The oracles stay off both routes they check: they build on Matrix,
 sp_rref, ExplicitModule, RingElement's constructor and an algebra's stored
-tables only, never on decompose or the closed rules.
+tables only, never on decompose or the closed rules.  The one exception is
+reference_tensor_labels, which keeps the closed rules' index formulas but
+validates every summand through canonicalize, as the rules once did: it
+checks how the rules assemble their summands, not the formulas.
 """
 
 from collections import Counter
@@ -12,10 +15,13 @@ from operator import mul
 import pytest
 
 from hopfore.cyclotomic import Cyclotomic, Rational
-from hopfore.errors import NonIntegerMultiplicity
+from hopfore.errors import InternalInconsistency, NonIntegerMultiplicity
+from hopfore.fusion import _nil_nil_terms
 from hopfore.greenring import GROTH, RingElement
 from hopfore.groups import GroupData, custom_algebra, dihedral_algebra
-from hopfore.labels import TORSION, SimpleLabel
+from hopfore.labels import (
+    EIG, NIL, TORSION, SimpleLabel, canonicalize, label_dim, multiset_dim,
+)
 from hopfore.linalg import Matrix, sp_rref
 from hopfore.modules import ExplicitModule
 
@@ -182,6 +188,51 @@ def binomial_power_decomposition(alg, l):
         for j in range(1, r + 1):
             out[SimpleLabel(TORSION, 2 * j)] += comb(2 * r, r - j)
     return RingElement(GROTH, alg, out)
+
+
+def reference_tensor_labels(alg, left, right):
+    """fusion.tensor_labels with every summand put through canonicalize,
+    once per fusion constituent and per sigma power."""
+    def canon(label):
+        return canonicalize(alg, label.kind, label.t, label.i, beta=label.beta)
+
+    left, right = canon(left), canon(right)
+    s, out = alg.s, Counter()
+    if left.kind == NIL and right.kind == NIL:
+        n, i, t, j = left.t, left.i, right.t, right.i
+        if n < t:
+            n, t, i, j = t, n, j, i
+        for l, mult in alg.fusion[(i, j)].items():
+            for T, u in _nil_nil_terms(s, n, t):
+                out[canonicalize(alg, NIL, T, alg.sigma_power(l, u))] += mult
+    elif left.kind == NIL or right.kind == NIL:
+        if left.kind == NIL:
+            nil, eig, twist = left, right, alg.one()
+        else:
+            nil, eig, twist = right, left, alg.omega_s(right.i)
+        u, r = divmod(nil.t, s)
+        t, beta = eig.t, eig.beta * twist
+        for l, mult in alg.fusion[(nil.i, eig.i)].items():
+            for m in range(1, min(t, u) + 1):
+                out[canonicalize(alg, EIG, 2 * m - 1 + abs(t - u), l, beta)] += mult * (s - r)
+            if r:
+                for m in range(1, min(t, u + 1) + 1):
+                    out[canonicalize(alg, EIG, 2 * m - 1 + abs(t - u - 1), l, beta)] += mult * r
+    else:
+        p, t = left.t, right.t
+        value = alg.omega_s(right.i) * left.beta + right.beta
+        for l, mult in alg.fusion[(left.i, right.i)].items():
+            for m in range(s):
+                lm = alg.sigma_power(l, m)
+                for u in range(1, min(p, t) + 1):
+                    length = 2 * u - 1 + abs(p - t)
+                    if value:
+                        out[canonicalize(alg, EIG, length, lm, value)] += mult
+                    else:
+                        out[canonicalize(alg, NIL, s * length, lm)] += mult
+    if multiset_dim(alg, out) != label_dim(alg, left) * label_dim(alg, right):
+        raise InternalInconsistency("reference product lost dimension")
+    return out
 
 
 def cyclic_algebra(n, chi_exp):

@@ -203,11 +203,27 @@ def test_large_products_refused_before_any_work(capsys, monkeypatch):
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err == f"error: {what} has dimension {dim}, above the limit 1024\n"
-    # at the limit, and on the closed route alone, the work starts
+    # a grid within the dimension limit is refused on its pair count, and
+    # the dimension is checked first
+    assert cli.MAX_GRID_PAIRS == 10000
+    for argv, err_want in (
+            (["verify", "fusion", "--m", "3", "--tmax", "16", "--teig", "8"],
+             "error: the grid has 36864 ordered pairs, above the limit 10000\n"),
+            (["verify", "fusion", "--m", "3", "--tmax", "34", "--teig", "0"],
+             "error: the grid's largest tensor product has dimension 4624, "
+             "above the limit 1024\n")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", err_want)
+    # at the limits, and on the closed route alone, the work starts: the
+    # m = 3 grid of 48 Nil labels has 2304 pairs of up to 1024 dimensions,
+    # the full m = 7 grid 4900 pairs
     for argv in (["tensor", "--left", "V[32](eps)", "--right", "V[16](1)",
                   "--method", "both"],
                  ["tensor", "--left", "V[100](eps)", "--right", "V[100](lam)"],
-                 ["verify", "fusion", "--m", "3", "--tmax", "16", "--teig", "8"]):
+                 ["verify", "fusion", "--m", "3", "--tmax", "16", "--teig", "0"],
+                 ["verify", "fusion", "--m", "7"]):
         with pytest.raises(RouteRan):
             cli.main(argv)
 

@@ -1,5 +1,7 @@
 """Exact scalar arithmetic in cyclotomic fields."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -360,3 +362,50 @@ def test_root_products_by_table(monkeypatch):
         assert calls, order
         calls.clear()
         monkeypatch.setattr(cyclotomic, "_mul_num", mul_num)
+
+
+def _fraction_literal(x):
+    """to_literal as it read when it printed each coordinate's Rational."""
+    pieces = []
+    for k in range(len(x.coeffs) - 1, -1, -1):
+        c = x.coeffs[k]
+        if not c:
+            continue
+        mag = -c if c < 0 else c
+        if k == 0:
+            body = str(mag)
+        else:
+            sym = "w" if k == 1 else f"w^{k}"
+            body = sym if mag == 1 else f"{mag}*{sym}"
+        if not pieces:
+            pieces.append(f"-{body}" if c < 0 else body)
+        else:
+            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
+    return " ".join(pieces) if pieces else "0"
+
+
+@pytest.mark.parametrize("order", (6, 8, 10, 14))
+def test_literal_from_integers_matches_fraction_text(order):
+    rng = random.Random(order)
+    d = field_degree(order)
+    for _ in range(300):
+        den = rng.choice((1, 2, 3, 4, 6, 12, 35, 2 ** 70))
+        coeffs = [Rational(rng.choice((0, 0, 1, -1, rng.randint(-50, 50))), den)
+                  for _ in range(d)]
+        x = Cyclotomic(order, coeffs)
+        assert x.to_literal() == _fraction_literal(x)
+    # coordinates that share a factor with the common denominator
+    x = Cyclotomic(order, [Rational(1, 2), Rational(-2, 3)] + [0] * (d - 2))
+    assert (x.num, x.den) == ((3, -4) + (0,) * (d - 2), 6)
+    assert x.to_literal() == "-2/3*w + 1/2"
+
+
+@pytest.mark.parametrize("order", (1, 6, 10))
+def test_rational_of_an_int_matches_the_fraction_path(order):
+    for value in (0, 1, -1, -7, 2 ** 80, -(2 ** 80), True, False,
+                  Rational(3, 1), Rational(-5, 6), "1/2", "-3"):
+        q = Rational(value)
+        want = Cyclotomic(order, [q] + [0] * (field_degree(order) - 1))
+        got = Cyclotomic.rational(order, value)
+        assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+        assert all(type(a) is int for a in got.num + (got.den,))

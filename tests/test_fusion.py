@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfore.cyclotomic import Rational
-from hopfore.errors import NotFusionReady
+from hopfore.cyclotomic import Cyclotomic, Rational
+from hopfore.errors import InvalidParameter, NotFusionReady, UnknownLabel
 from hopfore.fusion import comp_factors, tensor_labels
+from hopfore.grid import grid_labels
+from hopfore.groups import dihedral_algebra
 from hopfore.labels import (
     EIG, FREE, NIL, TORSION, IndecLabel, SimpleLabel, canonical_simple,
     canonicalize, label_dim, multiset_dim,
 )
+
+from conftest import reference_tensor_labels
 
 
 def N(t, i):
@@ -159,3 +163,95 @@ def test_label_associativity(alg3, a, b, c):
         for lab, m in tensor_labels(alg3, x, res).items():
             right[lab] += k * m
     assert left == right
+
+
+ORACLE_BETAS = (1, -1, 2, -2, Rational(1, 2))
+
+
+def _assert_same_products(alg, labels):
+    # equal Counters, and in the same insertion order
+    for a in labels:
+        for b in labels:
+            want = reference_tensor_labels(alg, a, b)
+            assert list(tensor_labels(alg, a, b).items()) == list(want.items()), (a, b)
+
+
+@pytest.mark.parametrize("m", (3, 5, 7))
+def test_closed_rules_match_reference_on_dihedral_grids(m):
+    alg = dihedral_algebra(m)
+    w = Cyclotomic.zeta(alg.field_order)
+    _assert_same_products(alg, grid_labels(alg, 6, 3, ORACLE_BETAS + (w,)))
+
+
+@pytest.mark.parametrize("name", ("c4", "c8", "s3c4", "a4c3"))
+def test_closed_rules_match_reference_on_fixture_grids(name, request):
+    alg = request.getfixturevalue(name)
+    _assert_same_products(alg, grid_labels(alg, 3, 1, (1, -1, 2)))
+
+
+def test_non_canonical_inputs_give_the_canonical_answer(alg3, c8):
+    for alg in (alg3, c8):
+        reps = set(alg.orbit_reps)
+        others = [l for l in alg.labels if l not in reps]
+        assert others
+        beta = alg.scalar(2)
+        partners = [N(1, alg.labels[0]), N(alg.s + 1, others[0]),
+                    E(alg, 2, alg.labels[0], -1)]
+        raw_inputs = [
+            # an Eig label on a non-representative member of its orbit
+            (IndecLabel(EIG, 2, others[0], beta), E(alg, 2, others[0], beta)),
+            # beta 0 is the Nil label of length t * s
+            (IndecLabel(EIG, 2, others[0], alg.zero()), N(2 * alg.s, others[0])),
+            # int and Fraction betas
+            (IndecLabel(EIG, 1, alg.labels[0], 2), E(alg, 1, alg.labels[0], 2)),
+            (IndecLabel(EIG, 3, others[0], Rational(-1, 2)),
+             E(alg, 3, others[0], Rational(-1, 2))),
+            (IndecLabel(NIL, 2, others[0], 0), N(2, others[0])),
+        ]
+        for raw, canonical in raw_inputs:
+            for other in partners:
+                for a, b, ca, cb in ((raw, other, canonical, other),
+                                     (other, raw, other, canonical)):
+                    got = tensor_labels(alg, a, b)
+                    assert got == tensor_labels(alg, ca, cb)
+                    assert got == reference_tensor_labels(alg, a, b)
+                    for lab in got:
+                        assert canonicalize(alg, lab.kind, lab.t, lab.i, lab.beta) == lab
+
+
+def test_malformed_inputs_keep_their_errors(alg3):
+    good = N(1, "eps")
+    for bad, error, message in (
+            (IndecLabel(NIL, 0, "eps"), InvalidParameter,
+             "t must be a positive integer, got 0"),
+            (IndecLabel(EIG, 0, "eps", alg3.one()), InvalidParameter,
+             "t must be a positive integer, got 0"),
+            (IndecLabel(NIL, 1, "nope"), UnknownLabel, "no simple labelled 'nope'"),
+            (IndecLabel(EIG, 1, "nope", alg3.one()), UnknownLabel,
+             "no simple labelled 'nope'"),
+            (IndecLabel(NIL, 2, "eps", alg3.one()), InvalidParameter,
+             "Nil labels carry no eigenvalue")):
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(error) as caught:
+                tensor_labels(alg3, a, b)
+            assert str(caught.value) == message
+
+
+def test_label_tuples_hash_print_and_compare_as_before(alg3):
+    beta = alg3.scalar(Rational(-1, 2))
+    nil, eig = N(1, "eps"), E(alg3, 2, 1, beta)
+    assert hash(nil) == hash(("nil", 1, "eps", None))
+    assert hash(eig) == hash(("eig", 2, 1, beta))
+    assert repr(nil) == "IndecLabel(kind='nil', t=1, i='eps', beta=None)"
+    assert repr(eig) == f"IndecLabel(kind='eig', t=2, i=1, beta={beta!r})"
+    assert repr(beta) == "Cyclotomic(6, '-1/2')"
+    torsion = SimpleLabel(TORSION, "eps")
+    assert repr(torsion) == "SimpleLabel(kind='torsion', i='eps', beta=None)"
+    assert hash(torsion) == hash(("torsion", "eps", None))
+    assert (nil.kind, nil.t, nil.i, nil.beta) == ("nil", 1, "eps", None)
+    # an IndecLabel never equals a SimpleLabel, whatever their fields
+    for indec, simple in ((nil, torsion),
+                          (IndecLabel("x", "eps", None), SimpleLabel("x", "eps", None)),
+                          (IndecLabel(FREE, 1, beta), SimpleLabel(FREE, 1, beta))):
+        assert indec != simple and simple != indec
+        assert len({indec: 1, simple: 2}) == 2

@@ -2,11 +2,14 @@
 import nothing of each other, read off the package's import statements.
 And the public surface is what the package and the bench call, with no
 defaulted parameter that no caller sets, and every name the traced bench
-wraps is still there."""
+wraps is still there.  A cold CLI import stays free of dataclasses."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -225,3 +228,14 @@ def test_traced_bench_names_resolve():
         if not isinstance(obj, types.FunctionType):
             unresolved.append(f"{layer}.{attr}")
     assert not unresolved, unresolved
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # a cold CLI process pays for every module it imports; dataclasses
+    # brings inspect, ast, dis and tokenize with it
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = ("import sys, hopfore.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
