@@ -25,10 +25,7 @@ from .groups import (
     AlgebraData, GroupData, SimpleRep, algebra_from_descriptor,
     custom_algebra, dihedral_algebra,
 )
-from .labels import (
-    EIG, FREE, NIL, TORSION, IndecLabel, SimpleLabel, canonical_simple,
-    canonicalize, label_dim, multiset_dim,
-)
+from .labels import EIG, NIL, IndecLabel, canonicalize, label_dim, multiset_dim
 from .linalg import Matrix
 from .modules import ExplicitModule, module_eigen, module_nilpotent, tensor, validate
 from .syntax import format_label, format_multiset, parse_cyclotomic, parse_label
@@ -37,10 +34,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraData", "Cyclotomic", "DecompResult", "EIG", "ExplicitModule",
-    "FREE", "GREEN", "GROTH", "GroupData", "HopfOreError", "IndecLabel",
-    "Matrix", "NIL", "Rational", "RingElement", "SimpleLabel", "SimpleRep",
-    "TORSION", "algebra_from_descriptor", "build_module", "canonical_simple",
-    "canonicalize", "comp_factors", "custom_algebra", "decompose",
+    "GREEN", "GROTH", "GroupData", "HopfOreError", "IndecLabel", "Matrix",
+    "NIL", "Rational", "RingElement", "SimpleRep", "algebra_from_descriptor",
+    "build_module", "canonicalize", "comp_factors", "custom_algebra", "decompose",
     "dihedral_algebra", "eval_expr", "format_element", "format_label",
     "format_multiset", "green_basis", "grid_labels", "groth_basis",
     "groth_to_x2_basis", "groth_to_x_basis", "isotypic_multiplicities",

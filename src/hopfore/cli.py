@@ -188,7 +188,7 @@ def cmd_ring_mul(args):
     alg = _load_algebra(args)
     elt = eval_expr(alg, args.expr, args.ring)
     if args.basis == "canonical":
-        pairs = [(_term_text(alg, lab), c) for lab, c in sorted_items(alg, elt.coeffs)]
+        pairs = [(_term_text(alg, args.ring, lab), c) for lab, c in sorted_items(alg, elt.coeffs)]
     elif args.ring != GROTH:
         raise InvalidParameter("power bases apply to the Grothendieck ring; "
                                "use --ring groth")

@@ -208,9 +208,15 @@ class Cyclotomic:
         try:
             return self._hash
         except AttributeError:
-            # an integer Rational hashes like the int, so with den == 1 the
-            # numerators give hash((order, coeffs)) without building Rationals
-            h = hash((self.order, self.num if self.den == 1 else self.coeffs))
+            # equal objects hash alike: a rational element hashes as the int
+            # or Rational it equals, any other by its coordinates
+            num, den = self.num, self.den
+            if any(num[1:]):
+                h = hash((self.order, num, den))
+            elif den == 1:
+                h = hash(num[0])
+            else:
+                h = hash(Rational(num[0], den))
             _set_hash(self, h)
             return h
 

@@ -18,18 +18,7 @@ inputs' dimensions.
 from collections import Counter
 
 from .errors import InternalInconsistency, NotFusionReady
-from .labels import (
-    EIG,
-    FREE,
-    NIL,
-    TORSION,
-    IndecLabel,
-    SimpleLabel,
-    canonical_simple,
-    canonicalize,
-    label_dim,
-    multiset_dim,
-)
+from .labels import EIG, NIL, IndecLabel, canonicalize, label_dim, multiset_dim
 
 
 def _require_ready(alg):
@@ -189,12 +178,17 @@ def tensor_labels(alg, left, right):
 
 
 def comp_factors(alg, label):
-    """Composition factors of an indecomposable, as simple-label counts."""
+    """Composition factors of an indecomposable, as counts of simple modules.
+
+    The simples are the length-1 labels: V_t(i) has the factors
+    V_1(sigma^l(i)) for l < t, and V_t([i], beta) has t copies of
+    V_1([i], beta).
+    """
     label = _recanon(alg, label)
     out = Counter()
     if label.kind == NIL:
         for l in range(label.t):
-            out[SimpleLabel(TORSION, alg.sigma_power(label.i, l))] += 1
+            out[IndecLabel(NIL, 1, alg.sigma_power(label.i, l))] += 1
     else:
-        out[canonical_simple(alg, FREE, label.i, label.beta)] += label.t
+        out[IndecLabel(EIG, 1, label.i, label.beta)] += label.t
     return out

@@ -1,8 +1,10 @@
 """Green ring and Grothendieck ring arithmetic for the extended algebra.
 
-Elements are stored as integer combinations of canonical labels: whole
-indecomposables for the Green ring, composition factors for the
-Grothendieck ring.  Products extend the closed tensor rules bilinearly.
+Elements are stored as integer combinations of canonical labels: every
+indecomposable for the Green ring, and for the Grothendieck ring the simple
+modules, which are the labels of length 1.  Products extend the closed
+tensor rules bilinearly; a Grothendieck product is the composition factors
+(to_groth) of the Green product of its simples.
 For the dihedral algebras this module also provides the two power bases
 of the group-ring part, X_1 = {x^(m-1), ..., x, 1, lam, chi, lamchi} and
 the halved X_2: each is a list of named Grothendieck elements built from
@@ -23,17 +25,7 @@ from .errors import (
     UnsupportedLabel,
 )
 from .fusion import comp_factors, tensor_labels
-from .labels import (
-    EIG,
-    FREE,
-    NIL,
-    TORSION,
-    IndecLabel,
-    SimpleLabel,
-    canonical_simple,
-    canonicalize,
-    sorted_items,
-)
+from .labels import EIG, NIL, IndecLabel, canonicalize, sorted_items
 from .linalg import sp_rref
 from .syntax import (
     MAX_EXPONENT, MAX_SCALAR_BITS, evaluate, format_label, format_terms,
@@ -150,7 +142,12 @@ def green_basis(alg, label) -> RingElement:
 
 
 def groth_basis(alg, simple) -> RingElement:
-    simple = canonical_simple(alg, simple.kind, simple.i, simple.beta)
+    """The class of a simple module, named by its label of length 1."""
+    simple = canonicalize(alg, simple.kind, simple.t, simple.i, simple.beta)
+    if simple.t != 1:
+        raise UnsupportedLabel(
+            f"{format_label(simple)} is not simple; the Grothendieck ring is "
+            "keyed by the labels of length 1")
     return RingElement(GROTH, alg, {simple: 1})
 
 
@@ -163,16 +160,7 @@ def _is_trivial(alg, label) -> bool:
 def unit(alg, ring) -> RingElement:
     _check_ring(ring)
     triv = next(s.label for s in alg.simples if _is_trivial(alg, s.label))
-    if ring == GREEN:
-        return RingElement(GREEN, alg, {IndecLabel(NIL, 1, triv): 1})
-    return RingElement(GROTH, alg, {SimpleLabel(TORSION, triv): 1})
-
-
-def _lift(simple) -> IndecLabel:
-    # minimal indecomposable with the given simple on top
-    if simple.kind == TORSION:
-        return IndecLabel(NIL, 1, simple.i)
-    return IndecLabel(EIG, 1, simple.i, simple.beta)
+    return RingElement(ring, alg, {IndecLabel(NIL, 1, triv): 1})
 
 
 def _coeff_bits(a: RingElement) -> int:
@@ -180,7 +168,8 @@ def _coeff_bits(a: RingElement) -> int:
 
 
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    """Bilinear product; the Grothendieck ring multiplies composition factors.
+    """Bilinear product; a Grothendieck product is to_groth of the Green
+    product of the two elements' simples.
 
     A product of more than MAX_RING_PAIRS label pairs is refused before it
     starts.
@@ -192,18 +181,12 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
             f"the limit of {MAX_RING_PAIRS} label pairs")
     alg = a.alg
     out = Counter()
-    if a.ring == GREEN:
-        for la, ca in a.coeffs.items():
-            for lb, cb in b.coeffs.items():
-                for lab, k in tensor_labels(alg, la, lb).items():
-                    out[lab] += ca * cb * k
-        return RingElement(GREEN, alg, out)
-    for sa, ca in a.coeffs.items():
-        for sb, cb in b.coeffs.items():
-            for lab, k in tensor_labels(alg, _lift(sa), _lift(sb)).items():
-                for fac, n in comp_factors(alg, lab).items():
-                    out[fac] += ca * cb * k * n
-    return RingElement(GROTH, alg, out)
+    for la, ca in a.coeffs.items():
+        for lb, cb in b.coeffs.items():
+            for lab, k in tensor_labels(alg, la, lb).items():
+                out[lab] += ca * cb * k
+    product = RingElement(GREEN, alg, out)
+    return product if a.ring == GREEN else to_groth(product)
 
 
 def to_groth(a: RingElement) -> RingElement:
@@ -219,18 +202,17 @@ def to_groth(a: RingElement) -> RingElement:
 
 # -- printing -----------------------------------------------------------------
 
-def _term_text(alg, label) -> str:
-    if isinstance(label, SimpleLabel):
-        if label.kind == TORSION and alg.simple(label.i).dim == 1 \
-                and isinstance(label.i, str):
-            return "1" if _is_trivial(alg, label.i) else label.i
-        label = _lift(label)
+def _term_text(alg, ring, label) -> str:
+    # a one-dimensional group simple prints by name in the Grothendieck ring
+    if ring == GROTH and label.kind == NIL and isinstance(label.i, str) \
+            and alg.simple(label.i).dim == 1:
+        return "1" if _is_trivial(alg, label.i) else label.i
     return format_label(label)
 
 
 def format_element(elt: RingElement) -> str:
     """Deterministic text form, e.g. '1 + lam + V[1](2)' or '2*V[2](eps;1)'."""
-    return format_terms((_term_text(elt.alg, label), c)
+    return format_terms((_term_text(elt.alg, elt.ring, label), c)
                         for label, c in sorted_items(elt.alg, elt.coeffs))
 
 
@@ -335,9 +317,9 @@ def _group_ring_coords(a: RingElement, which, build):
     if a.ring != GROTH:
         raise RingMismatch("x-basis conversion takes a Grothendieck element")
     for lab in a.coeffs:
-        if lab.kind != TORSION:
+        if lab.kind != NIL:
             raise UnsupportedLabel(
-                f"{_term_text(a.alg, lab)} is not a group simple; the {which} "
+                f"{_term_text(a.alg, GROTH, lab)} is not a group simple; the {which} "
                 "basis covers only the group-ring part")
     return _solve(build(a.alg), [a])[0]
 
@@ -449,7 +431,7 @@ def _verify_groth_kdn(alg, rep: _Report):
               _evaluate(alg, basis, g_poly(alg)))
     # the power basis is a basis: rewriting each simple and evaluating the
     # coordinates gives the simple back
-    simples = [groth_basis(alg, SimpleLabel(TORSION, simple.label))
+    simples = [groth_basis(alg, IndecLabel(NIL, 1, simple.label))
                for simple in alg.simples]
     rep.flag("power basis round trip",
              all(_evaluate(alg, basis, coords) == e
@@ -462,7 +444,7 @@ def _verify_groth_kdn(alg, rep: _Report):
 def _verify_groth_h(alg, rep: _Report, betas):
     chi = _groth_char(alg, "chi")
     two_chi_unit = (unit(alg, GROTH) + chi).scale(2)
-    ys = {b: groth_basis(alg, SimpleLabel(FREE, "eps", b)) for b in betas}
+    ys = {b: groth_basis(alg, IndecLabel(EIG, 1, "eps", b)) for b in betas}
     for b in betas:
         rep.check(f"chi*y[{b.to_literal()}] == y[{b.to_literal()}]",
                   ring_mul(chi, ys[b]), ys[b])

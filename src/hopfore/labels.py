@@ -1,4 +1,4 @@
-"""Labels for indecomposable modules and for composition factors.
+"""Labels for indecomposable modules.
 
 Two families of indecomposables exist over a fusion-ready algebra:
 
@@ -7,6 +7,10 @@ Two families of indecomposables exist over a fusion-ready algebra:
   Eig(t, [i], beta): quotient by the image of (x^s - beta)^t, beta != 0;
              dimension t * s * dim(V_i), determined by the sigma-orbit of i.
 
+The simple modules are the labels of length 1, V_1(i) and V_1([i], beta),
+so one label type serves both rings: the Green ring is keyed by every
+label and the Grothendieck ring by the length-1 ones.
+
 Eig labels always carry the orbit representative; an Eig label with beta = 0
 is the same module as Nil(t*s, i) and canonicalize performs that rewrite
 with the exact simple label (the identification is not orbit-invariant).
@@ -14,27 +18,17 @@ with the exact simple label (the identification is not orbit-invariant).
 
 from collections import namedtuple
 
-from .errors import InvalidParameter, NotFusionReady, ZeroBeta
+from .errors import InvalidParameter, NotFusionReady
 from .groups import AlgebraData
 
 NIL = "nil"
 EIG = "eig"
-TORSION = "torsion"
-FREE = "free"
 
 
 class IndecLabel(namedtuple("IndecLabel", "kind t i beta", defaults=(None,))):
     """Isomorphism class of an indecomposable module: kind (NIL or EIG),
     length t, simple label i, and beta, a nonzero Cyclotomic for EIG and
-    None for NIL.  A tuple, so it hashes as the tuple of its fields; it
-    never equals a SimpleLabel, which has three."""
-
-    __slots__ = ()
-
-
-class SimpleLabel(namedtuple("SimpleLabel", "kind i beta", defaults=(None,))):
-    """Isomorphism class of a simple module over the extended algebra:
-    kind (TORSION or FREE), simple label i, and beta (None for TORSION)."""
+    None for NIL.  A tuple, so it hashes as the tuple of its fields."""
 
     __slots__ = ()
 
@@ -60,40 +54,17 @@ def canonicalize(alg: AlgebraData, kind: str, t: int, i, beta=None) -> IndecLabe
     return IndecLabel(EIG, t, alg.orbit_rep[i], b)
 
 
-def canonical_simple(alg: AlgebraData, kind: str, i, beta=None) -> SimpleLabel:
-    if kind == TORSION:
-        alg.require_label(i)
-        return SimpleLabel(TORSION, i, None)
-    if kind != FREE:
-        raise InvalidParameter(f"unknown simple label kind {kind!r}")
-    alg.require_label(i)
-    b = alg.scalar(beta if beta is not None else 0)
-    if not b:
-        raise ZeroBeta("free simple labels need beta != 0")
-    if not alg.fusion_ready:
-        raise NotFusionReady("eigenvalue labels need |q| = |chi|")
-    return SimpleLabel(FREE, alg.orbit_rep[i], b)
-
-
 def label_dim(alg: AlgebraData, label) -> int:
-    if isinstance(label, IndecLabel):
-        d = alg.simple_by_label[label.i].dim
-        return label.t * d if label.kind == NIL else label.t * alg.s * d
-    if isinstance(label, SimpleLabel):
-        d = alg.simple_by_label[label.i].dim
-        return d if label.kind == TORSION else alg.s * d
-    raise InvalidParameter(f"not a label: {label!r}")
+    if not isinstance(label, IndecLabel):
+        raise InvalidParameter(f"not a label: {label!r}")
+    d = label.t * alg.simple_by_label[label.i].dim
+    return d if label.kind == NIL else alg.s * d
 
 
 def label_sort_key(alg: AlgebraData, label):
     """Deterministic output order: kind, simple order, t, then eigenvalue."""
-    if isinstance(label, IndecLabel):
-        kind_rank = 0 if label.kind == NIL else 1
-        beta_key = label.beta.sort_key() if label.beta is not None else ()
-        return (kind_rank, alg.label_index[label.i], label.t, beta_key)
-    kind_rank = 0 if label.kind == TORSION else 1
     beta_key = label.beta.sort_key() if label.beta is not None else ()
-    return (kind_rank, alg.label_index[label.i], 1, beta_key)
+    return (label.kind != NIL, alg.label_index[label.i], label.t, beta_key)
 
 
 def sorted_items(alg: AlgebraData, multiset) -> list:

@@ -20,7 +20,7 @@ from hopfore.fusion import _nil_nil_terms
 from hopfore.greenring import GROTH, RingElement
 from hopfore.groups import GroupData, custom_algebra, dihedral_algebra
 from hopfore.labels import (
-    EIG, NIL, TORSION, SimpleLabel, canonicalize, label_dim, multiset_dim,
+    EIG, NIL, IndecLabel, canonicalize, label_dim, multiset_dim,
 )
 from hopfore.linalg import Matrix, sp_rref
 from hopfore.modules import ExplicitModule
@@ -180,13 +180,13 @@ def binomial_power_decomposition(alg, l):
     if l % 2:
         r = (l + 1) // 2
         for j in range(1, r + 1):
-            out[SimpleLabel(TORSION, 2 * j - 1)] += comb(2 * r - 1, r - j)
+            out[IndecLabel(NIL, 1, 2 * j - 1)] += comb(2 * r - 1, r - j)
     else:
         r = l // 2
-        out[SimpleLabel(TORSION, "eps")] += comb(2 * r - 1, r - 1)
-        out[SimpleLabel(TORSION, "lam")] += comb(2 * r - 1, r - 1)
+        out[IndecLabel(NIL, 1, "eps")] += comb(2 * r - 1, r - 1)
+        out[IndecLabel(NIL, 1, "lam")] += comb(2 * r - 1, r - 1)
         for j in range(1, r + 1):
-            out[SimpleLabel(TORSION, 2 * j)] += comb(2 * r, r - j)
+            out[IndecLabel(NIL, 1, 2 * j)] += comb(2 * r, r - j)
     return RingElement(GROTH, alg, out)
 
 

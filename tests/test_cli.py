@@ -263,6 +263,18 @@ def test_ring_mul_corpus(capsys):
             case["argv"], case["code"], case["stdout"], case["stderr"])
 
 
+def test_golden_cli_corpus(capsys):
+    # recorded runs that reach the Grothendieck ring: `verify presentation
+    # --json` for every suite at m = 3, 5, 7; `ring mul --ring groth` on 15
+    # expressions at m = 5 and 7, every basis, text and --json, with the
+    # free-part refusals; and `--expr y[1] --basis x1` at m = 3, 5, 7
+    corpus = Path(__file__).parent / "data" / "cli_golden_corpus.json"
+    for case in json.loads(corpus.read_text()):
+        code, out, err = run(capsys, case["argv"])
+        assert (case["argv"], code, out, err) == (
+            case["argv"], case["code"], case["stdout"], case["stderr"])
+
+
 def test_zero_beta_guidance(capsys):
     code, _, err = run(capsys, ["tensor", "--left", "V[2](eps;0)",
                                 "--right", "x"])

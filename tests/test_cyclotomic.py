@@ -10,6 +10,7 @@ from hopfore.cyclotomic import (
     Cyclotomic, Rational, cyclotomic_polynomial, field_degree,
 )
 from hopfore.errors import InvalidParameter, OrderMismatch
+from hopfore.labels import EIG, IndecLabel
 
 
 def test_cyclotomic_polynomials_small():
@@ -125,8 +126,17 @@ def test_hash_cached_and_consistent():
     a = z * z - 1
     b = Cyclotomic(10, a.coeffs)
     assert a == b and a is not b
-    assert hash(a) == hash(b) == hash(a) == hash((10, a.coeffs))
+    assert hash(a) == hash(b) == hash(a) == hash((10, a.num, a.den))
     assert len({a, b, z}) == 2
+
+
+def test_rational_elements_hash_as_the_numbers_they_equal(alg3):
+    for q in (0, 2, -7, Rational(-1, 2), Rational(5, 3)):
+        x = alg3.scalar(q)
+        assert x == q and hash(x) == hash(q), q
+    # equal labels are one dict key, whichever form their beta takes
+    assert len({IndecLabel(EIG, 1, "eps", 2),
+                IndecLabel(EIG, 1, "eps", alg3.scalar(2))}) == 1
 
 
 def test_public_constructor_validates():

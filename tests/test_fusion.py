@@ -12,8 +12,7 @@ from hopfore.fusion import comp_factors, tensor_labels
 from hopfore.grid import grid_labels
 from hopfore.groups import dihedral_algebra
 from hopfore.labels import (
-    EIG, FREE, NIL, TORSION, IndecLabel, SimpleLabel, canonical_simple,
-    canonicalize, label_dim, multiset_dim,
+    EIG, NIL, IndecLabel, canonicalize, label_dim, multiset_dim,
 )
 
 from conftest import reference_tensor_labels
@@ -113,11 +112,22 @@ def test_not_fusion_ready_rejected():
 
 def test_comp_factors(alg3):
     assert comp_factors(alg3, N(3, "eps")) == {
-        SimpleLabel(TORSION, "eps"): 2, SimpleLabel(TORSION, "chi"): 1}
-    assert comp_factors(alg3, N(1, 2)) == {SimpleLabel(TORSION, 2): 1}
+        IndecLabel(NIL, 1, "eps"): 2, IndecLabel(NIL, 1, "chi"): 1}
+    assert comp_factors(alg3, N(1, 2)) == {IndecLabel(NIL, 1, 2): 1}
     b = alg3.scalar(1)
-    assert comp_factors(alg3, E(alg3, 2, 1, b)) == {
-        canonical_simple(alg3, FREE, 1, b): 2}
+    assert comp_factors(alg3, E(alg3, 2, 1, b)) == {E(alg3, 1, 1, b): 2}
+
+
+@pytest.mark.parametrize("name", ("alg3", "alg5", "c4", "s3c4", "a4c3", "c8"))
+def test_comp_factors_are_simples_that_fill_the_label(name, request):
+    alg = request.getfixturevalue(name)
+    labels = grid_labels(alg, 6, 3, (1, -1, 2))
+    if name == "c8":
+        labels = [lab for lab in labels if lab.kind == NIL]
+    for label in labels:
+        factors = comp_factors(alg, label)
+        assert all(lab.t == 1 for lab in factors), label
+        assert multiset_dim(alg, factors) == label_dim(alg, label), label
 
 
 _lab3 = st.one_of(
@@ -245,13 +255,4 @@ def test_label_tuples_hash_print_and_compare_as_before(alg3):
     assert repr(nil) == "IndecLabel(kind='nil', t=1, i='eps', beta=None)"
     assert repr(eig) == f"IndecLabel(kind='eig', t=2, i=1, beta={beta!r})"
     assert repr(beta) == "Cyclotomic(6, '-1/2')"
-    torsion = SimpleLabel(TORSION, "eps")
-    assert repr(torsion) == "SimpleLabel(kind='torsion', i='eps', beta=None)"
-    assert hash(torsion) == hash(("torsion", "eps", None))
     assert (nil.kind, nil.t, nil.i, nil.beta) == ("nil", 1, "eps", None)
-    # an IndecLabel never equals a SimpleLabel, whatever their fields
-    for indec, simple in ((nil, torsion),
-                          (IndecLabel("x", "eps", None), SimpleLabel("x", "eps", None)),
-                          (IndecLabel(FREE, 1, beta), SimpleLabel(FREE, 1, beta))):
-        assert indec != simple and simple != indec
-        assert len({indec: 1, simple: 2}) == 2

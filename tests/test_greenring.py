@@ -15,11 +15,10 @@ from hopfore.greenring import (
     groth_basis, groth_to_x2_basis, groth_to_x_basis, ring_mul, to_groth,
     unit, verify_presentation, _evaluate, _unimodular, _x1_basis, _x2_basis,
 )
+from hopfore.grid import grid_labels
 from hopfore.groups import algebra_from_descriptor
 from hopfore.syntax import format_terms
-from hopfore.labels import (
-    EIG, NIL, TORSION, IndecLabel, SimpleLabel, canonicalize,
-)
+from hopfore.labels import EIG, NIL, IndecLabel, label_dim, multiset_dim
 
 from conftest import binomial_power_decomposition
 
@@ -148,8 +147,8 @@ def test_ring_and_algebra_mismatch(alg3, alg5):
 
 def test_to_groth_is_composition_series(alg3):
     v = to_groth(ev(alg3, "V[3](eps)"))
-    assert v.coeffs == {SimpleLabel(TORSION, "eps"): 2,
-                        SimpleLabel(TORSION, "chi"): 1}
+    assert v.coeffs == {IndecLabel(NIL, 1, "eps"): 2,
+                        IndecLabel(NIL, 1, "chi"): 1}
 
 
 def test_unit_is_the_trivial_simple(c4_reordered):
@@ -157,7 +156,7 @@ def test_unit_is_the_trivial_simple(c4_reordered):
     # found by its character, not by its position
     alg = algebra_from_descriptor(c4_reordered)
     assert alg.labels[:2] == ("c1", "c0")
-    assert unit(alg, GROTH).coeffs == {SimpleLabel(TORSION, "c0"): 1}
+    assert unit(alg, GROTH).coeffs == {IndecLabel(NIL, 1, "c0"): 1}
     assert unit(alg, GREEN).coeffs == {IndecLabel(NIL, 1, "c0"): 1}
     c2 = ev(alg, "V[1](c2)", GROTH)
     assert ev(alg, "2*V[1](c2)", GROTH) == c2.scale(2)
@@ -166,9 +165,45 @@ def test_unit_is_the_trivial_simple(c4_reordered):
     assert format_element(ev(alg, "V[1](c1) + 3 + V[2](c1)", GROTH)) == "2*c1 + 3 + c2"
 
 
+def test_groth_basis_takes_a_length_1_label(alg3):
+    assert groth_basis(alg3, IndecLabel(NIL, 1, "chi")) == ev(alg3, "chi", GROTH)
+    # an Eig simple on a non-representative is put on its orbit representative
+    assert groth_basis(alg3, IndecLabel(EIG, 1, "chi", 2)) == ev(alg3, "y[2]", GROTH)
+    # V[1](eps;0) is the nilpotent V[2](eps), which is not simple
+    for label in (IndecLabel(NIL, 2, "eps"), IndecLabel(EIG, 1, "eps", 0)):
+        with pytest.raises(UnsupportedLabel, match="V\\[2\\]\\(eps\\) is not simple"):
+            groth_basis(alg3, label)
+
+
+@pytest.mark.parametrize("name", ("c4", "s3c4", "a4c3"))
+def test_groth_products_of_group_simples_follow_the_fusion_rule(name, request):
+    # x acts as x (x) a + 1 (x) x = 0 on V_1(i) (x) V_1(j), so the product is
+    # the group algebra's, read from alg.fusion and not from the string rules
+    alg = request.getfixturevalue(name)
+    assert alg.s > 2
+    for i in alg.labels:
+        for j in alg.labels:
+            got = ring_mul(groth_basis(alg, IndecLabel(NIL, 1, i)),
+                           groth_basis(alg, IndecLabel(NIL, 1, j)))
+            want = {IndecLabel(NIL, 1, l): n for l, n in alg.fusion[(i, j)].items()}
+            assert got == RingElement(GROTH, alg, want), (i, j)
+
+
+@pytest.mark.parametrize("name", ("alg3", "c4", "c8", "s3c4", "a4c3"))
+def test_groth_products_of_simples_keep_dimension(name, request):
+    alg = request.getfixturevalue(name)
+    simples = grid_labels(alg, 1, 1, (1, -1, 2))
+    for a in simples:
+        for b in simples:
+            prod = ring_mul(groth_basis(alg, a), groth_basis(alg, b))
+            assert all(lab.t == 1 and c > 0 for lab, c in prod.coeffs.items())
+            assert multiset_dim(alg, prod.coeffs) == \
+                label_dim(alg, a) * label_dim(alg, b), (a, b)
+
+
 def test_x_basis_frozen(alg5):
     def x1(i):
-        return format_terms(groth_to_x_basis(groth_basis(alg5, SimpleLabel(TORSION, i))))
+        return format_terms(groth_to_x_basis(groth_basis(alg5, IndecLabel(NIL, 1, i))))
 
     assert x1(3) == "x^3 - 3*x"
     assert x1(4) == "x^4 - 4*x^2 + 1 + lam"
